@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from clustopt import spectral
 from clustopt.errors import (
     AllZeroError,
+    ConvergenceError,
     DimensionMismatchError,
     InvalidParamsError,
     NotSymmetricError,
     SizeLimitError,
 )
-from clustopt.graphs import build_graph, complete_graph, cycle_graph, laplacian
+from clustopt.generators import BaParams, HkParams, generate_ba, generate_hk
+from clustopt.graphs import (
+    Graph,
+    assign_random_weights,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    laplacian,
+    laplacian_sparse,
+)
 from clustopt.spectral import (
+    DENSE_LIMIT,
     JacobianSpec,
     build_jacobian,
     convergence_rate,
@@ -48,12 +61,13 @@ class TestEigSolvers:
         assert eig_symmetric(m) == pytest.approx(jacobi_eigenvalues(m), abs=1e-8)
 
 
+@pytest.mark.filterwarnings("error")  # no solver warning may escape
 class TestLambda2:
-    @pytest.mark.parametrize("n", [4, 10, 25, 50])
+    @pytest.mark.parametrize("n", [4, 10, 25, 50, DENSE_LIMIT + 100])
     def test_complete_graph(self, n):
         assert lambda2_laplacian(complete_graph(n)) == pytest.approx(n, abs=1e-8)
 
-    @pytest.mark.parametrize("n", [4, 7, 16, 50])
+    @pytest.mark.parametrize("n", [4, 7, 16, 50, DENSE_LIMIT + 100])
     def test_cycle(self, n):
         expected = 2.0 - 2.0 * np.cos(2.0 * np.pi / n)
         assert lambda2_laplacian(cycle_graph(n)) == pytest.approx(expected, abs=1e-8)
@@ -72,12 +86,53 @@ class TestLambda2:
                 assert lam2 < g.n  # the bound is tight only on complete graphs
 
     def test_sparse_path_matches_dense(self):
-        # above the dense cutoff the Lanczos path must agree with a direct solve
+        # above the dense cutoff the LOBPCG path must agree with a direct solve
         rng = np.random.default_rng(55)
         g = random_connected_graph(rng, 2100, extra_p=0.002)
         lam2 = lambda2_laplacian(g)
         dense = np.sort(np.linalg.eigvalsh(laplacian(g)))[1]
         assert lam2 == pytest.approx(dense, rel=1e-8, abs=1e-10)
+
+    def test_sparse_path_isolated_nodes_give_exact_zero(self):
+        g = generate_ba(BaParams(DENSE_LIMIT + 100, 4), np.random.default_rng(3))
+        g = Graph(g.n + 5, g.edges, g.weights)  # five isolated nodes
+        assert lambda2_laplacian(g) == 0.0
+
+    def test_sparse_path_bridged_halves_match_dense(self):
+        # one bridge between two BA halves: lambda2 sits far below the bulk
+        rng = np.random.default_rng(8)
+        half = DENSE_LIMIT // 2 + 50
+        a = generate_ba(BaParams(half, 4), rng)
+        b = generate_ba(BaParams(half, 4), rng)
+        edges = np.vstack([a.edges, b.edges + half, [[0, half]]])
+        g = assign_random_weights(
+            Graph(2 * half, edges, np.ones(len(edges))), rng)
+        vals = np.linalg.eigvalsh(laplacian(g))
+        assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
+
+    def test_sparse_path_iteration_cap_raises(self, monkeypatch):
+        n = DENSE_LIMIT + 100
+        monkeypatch.setattr(spectral, "LOBPCG_ITERS_PER_NODE", 5 / n)
+        with pytest.raises(ConvergenceError):
+            lambda2_laplacian(cycle_graph(n))
+
+    @pytest.mark.parametrize("model", ["ba", "hk"])
+    def test_matches_networkx_on_generated_graphs(self, model):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(60 if model == "ba" else 61)
+        g = (generate_ba(BaParams(3000, 6), rng) if model == "ba"
+             else generate_hk(HkParams(3000, 6, 1), rng))
+        g = assign_random_weights(g, rng)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_weighted_edges_from(
+            zip(g.edges[:, 0].tolist(), g.edges[:, 1].tolist(),
+                g.weights.tolist()))
+        expected = nx.algebraic_connectivity(
+            ref, weight="weight", method="tracemin_lu", tol=1e-10, seed=0)
+        lam_max = spla.eigsh(laplacian_sparse(g), k=1, which="LA",
+                             return_eigenvectors=False)[0]
+        assert abs(lambda2_laplacian(g) - expected) <= 1e-8 * lam_max
 
 
 class TestJacobian:
