@@ -21,7 +21,7 @@ from .generators import BaParams, HkParams, RewireParams, generate_ba, generate_
     rewire_increase_clustering
 from .graphs import assign_random_weights, degree_stats, global_clustering, \
     is_connected, unit_weights
-from .montecarlo import CostSpec, run_mc, scatter_report
+from .montecarlo import CostSpec, read_config, run_mc, scatter_report
 from .spectral import spectral_report
 
 
@@ -171,7 +171,7 @@ def _cmd_rewire(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    cfg = graph_io.read_config(args.config)
+    cfg = read_config(args.config)
     summary = run_mc(cfg)
     graph_io.write_campaign_outputs(summary, args.out)
     return 0

@@ -11,7 +11,9 @@ Two per-node cost families:
 * ``QuarticModel`` — a convex resource-allocation style cost
   ``a_i (x - b_i)^4`` with ``a_i in (0, 0.025]`` and ``b_i in [-10, 10]``.
 
-Models are immutable after sampling; every evaluation is pure.
+Models are immutable after sampling; every evaluation is pure.  Each family
+defines only its parameters and three per-node kernels; the scalar and
+aggregate evaluations are shared and go through those kernels.
 """
 
 from __future__ import annotations
@@ -41,8 +43,47 @@ class OptimumCertificate:
     residual: float
 
 
+class _CostFamily:
+    """Scalar and aggregate evaluations through a family's per-node kernels.
+
+    A family holds its parameter arrays, with ``a`` of leading dimension
+    ``n``, and the three kernels ``value_nodes``, ``gradient_nodes`` and
+    ``hessian_nodes``, which map one point per node to one value per node.
+    """
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+    def _check(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise IndexOutOfRangeError(f"node {i} outside [0, {self.n})")
+
+    def _at(self, kernel, i: int, x: float) -> float:
+        self._check(i)
+        return float(kernel(np.full(self.n, float(x)))[i])
+
+    def value(self, i: int, x: float) -> float:
+        return self._at(self.value_nodes, i, x)
+
+    def gradient(self, i: int, x: float) -> float:
+        return self._at(self.gradient_nodes, i, x)
+
+    def hessian(self, i: int, x: float) -> float:
+        return self._at(self.hessian_nodes, i, x)
+
+    def aggregate_value(self, x: float) -> float:
+        return float(self.value_nodes(np.full(self.n, float(x))).sum())
+
+    def aggregate_gradient(self, x: float) -> float:
+        return float(self.gradient_nodes(np.full(self.n, float(x))).sum())
+
+    def aggregate_hessian(self, x: float) -> float:
+        return float(self.hessian_nodes(np.full(self.n, float(x))).sum())
+
+
 @dataclass(frozen=True)
-class MlLossModel:
+class MlLossModel(_CostFamily):
     a: np.ndarray  # (n, m)
     b: np.ndarray  # (n, m)
     a_row: np.ndarray = field(init=False)
@@ -53,10 +94,6 @@ class MlLossModel:
             raise InvalidParamsError("a and b must share shape (n, m)")
         object.__setattr__(self, "a_row", self.a.sum(axis=1))
         object.__setattr__(self, "b_row", self.b.sum(axis=1))
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
     @property
     def m(self) -> int:
@@ -74,47 +111,15 @@ class MlLossModel:
         return (self.m * (4.0 + 6.0 * np.cos(2.0 * x))
                 - self.a_row * np.cos(x))
 
-    def value(self, i: int, x: float) -> float:
-        self._check(i)
-        return float(self.m * (2.0 * x * x + 3.0 * np.sin(x) ** 2)
-                     + self.a_row[i] * np.cos(x) + self.b_row[i] * x)
-
-    def gradient(self, i: int, x: float) -> float:
-        self._check(i)
-        return float(self.m * (4.0 * x + 3.0 * np.sin(2.0 * x))
-                     - self.a_row[i] * np.sin(x) + self.b_row[i])
-
-    def hessian(self, i: int, x: float) -> float:
-        self._check(i)
-        return float(self.m * (4.0 + 6.0 * np.cos(2.0 * x))
-                     - self.a_row[i] * np.cos(x))
-
-    def aggregate_value(self, x: float) -> float:
-        return float(self.value_nodes(np.full(self.n, float(x))).sum())
-
-    def aggregate_gradient(self, x: float) -> float:
-        return float(self.gradient_nodes(np.full(self.n, float(x))).sum())
-
-    def aggregate_hessian(self, x: float) -> float:
-        return float(self.hessian_nodes(np.full(self.n, float(x))).sum())
-
-    def _check(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexOutOfRangeError(f"node {i} outside [0, {self.n})")
-
 
 @dataclass(frozen=True)
-class QuarticModel:
+class QuarticModel(_CostFamily):
     a: np.ndarray  # (n,)
     b: np.ndarray  # (n,)
 
     def __post_init__(self):
         if self.a.shape != self.b.shape or self.a.ndim != 1:
             raise InvalidParamsError("a and b must share shape (n,)")
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
     def value_nodes(self, x: np.ndarray) -> np.ndarray:
         return self.a * (x - self.b) ** 4
@@ -124,31 +129,6 @@ class QuarticModel:
 
     def hessian_nodes(self, x: np.ndarray) -> np.ndarray:
         return 12.0 * self.a * (x - self.b) ** 2
-
-    def value(self, i: int, x: float) -> float:
-        self._check(i)
-        return float(self.a[i] * (x - self.b[i]) ** 4)
-
-    def gradient(self, i: int, x: float) -> float:
-        self._check(i)
-        return float(4.0 * self.a[i] * (x - self.b[i]) ** 3)
-
-    def hessian(self, i: int, x: float) -> float:
-        self._check(i)
-        return float(12.0 * self.a[i] * (x - self.b[i]) ** 2)
-
-    def aggregate_value(self, x: float) -> float:
-        return float(self.value_nodes(np.full(self.n, float(x))).sum())
-
-    def aggregate_gradient(self, x: float) -> float:
-        return float(self.gradient_nodes(np.full(self.n, float(x))).sum())
-
-    def aggregate_hessian(self, x: float) -> float:
-        return float(self.hessian_nodes(np.full(self.n, float(x))).sum())
-
-    def _check(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexOutOfRangeError(f"node {i} outside [0, {self.n})")
 
 
 CostModel = Union[MlLossModel, QuarticModel]

@@ -20,6 +20,7 @@ aggregate optimum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,10 @@ class SimConfig:
             raise InvalidParamsError(f"h must be > 0, got {self.h}")
         if self.steps < 0 or self.record_stride < 1 or self.gap_tolerance < 0:
             raise InvalidParamsError("steps >= 0, record_stride >= 1, gap_tolerance >= 0")
-        lo, hi = self.x_init_range
-        if not lo <= hi:
-            raise InvalidParamsError(f"bad x_init_range [{lo}, {hi}]")
+        r = self.x_init_range
+        if not (len(r) == 2 and all(isinstance(v, numbers.Real) for v in r)
+                and r[0] <= r[1]):
+            raise InvalidParamsError(f"bad x_init_range {list(r)}")
 
 
 @dataclass
@@ -119,17 +121,21 @@ def initialize(g: Graph, model: CostModel, cfg: SimConfig,
 
 def euler_step(g: Graph, model: CostModel, state: NodeState,
                cfg: SimConfig) -> NodeState:
-    """One explicit-Euler update of (x, y)."""
-    lap = laplacian_sparse(g)
-    h = cfg.h
-    if h is None:
-        h = 0.5 * stability_max_step(g, cfg.alpha, model, state)
+    """One explicit-Euler update of (x, y), the step that :func:`run` takes."""
     with np.errstate(over="ignore", invalid="ignore"):
         gx = model.gradient_nodes(state.x)
-    x_new, y_new, _ = _step(lap, model, state.x, state.y, gx, cfg.alpha, h)
-    if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
+    x, y, _, finite = _step(laplacian_sparse(g), model, state.x, state.y, gx,
+                            cfg.alpha, _step_size(g, model, state, cfg))
+    if not finite:
         raise DivergenceError("non-finite state after Euler step")
-    return NodeState(x=x_new, y=y_new)
+    return NodeState(x=x, y=y)
+
+
+def _step_size(g: Graph, model: CostModel, state: NodeState,
+               cfg: SimConfig) -> float:
+    if cfg.h is not None:
+        return cfg.h
+    return 0.5 * stability_max_step(g, cfg.alpha, model, state)
 
 
 def _step(lap, model, x, y, gx, alpha, h):
@@ -138,7 +144,8 @@ def _step(lap, model, x, y, gx, alpha, h):
         x_new = x - h * (lap @ x + alpha * y)
         gx_new = model.gradient_nodes(x_new)
         y_new = y - h * (lap @ y) + (gx_new - gx)
-    return x_new, y_new, gx_new
+    finite = np.isfinite(x_new).all() and np.isfinite(y_new).all()
+    return x_new, y_new, gx_new, finite
 
 
 def run(g: Graph, model: CostModel, cfg: SimConfig,
@@ -160,9 +167,7 @@ def run(g: Graph, model: CostModel, cfg: SimConfig,
             raise DisconnectedError("dynamics require a connected graph")
         state = initial_state
     lap = laplacian_sparse(g)
-    h = cfg.h
-    if h is None:
-        h = 0.5 * stability_max_step(g, cfg.alpha, model, state)
+    h = _step_size(g, model, state, cfg)
     cert = aggregate_optimum(model)
 
     x, y = state.x, state.y
@@ -193,8 +198,8 @@ def run(g: Graph, model: CostModel, cfg: SimConfig,
     stop = cfg.gap_tolerance > 0 and gap0 <= cfg.gap_tolerance
     if not stop:
         for k in range(1, cfg.steps + 1):
-            x, y, gx = _step(lap, model, x, y, gx, cfg.alpha, h)
-            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            x, y, gx, finite = _step(lap, model, x, y, gx, cfg.alpha, h)
+            if not finite:
                 diverged = True
                 break
             gsum = float(gx.sum())

@@ -38,6 +38,7 @@ global triangle count strictly increases.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,12 @@ class BaParams:
 
     def validate(self) -> None:
         s = self.resolved_seed_size()
-        if not (1 <= self.links <= s <= self.n):
+        sizes = (self.n, self.links, s)
+        if not (all(isinstance(v, numbers.Integral) for v in sizes)
+                and 1 <= self.links <= s <= self.n):
             raise InvalidParamsError(
-                f"need 1 <= links <= seed_size <= n, got links={self.links}, "
-                f"seed_size={s}, n={self.n}")
+                f"need integers 1 <= links <= seed_size <= n, got "
+                f"links={self.links!r}, seed_size={s!r}, n={self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,11 @@ class HkParams:
 
     def validate(self) -> None:
         BaParams(self.n, self.links, self.seed_size).validate()
-        if not 0 <= self.triad_links < self.links:
+        if not (isinstance(self.triad_links, numbers.Integral)
+                and 0 <= self.triad_links < self.links):
             raise InvalidParamsError(
-                f"need 0 <= triad_links < links, got {self.triad_links} "
-                f"vs {self.links}")
+                f"need an integer 0 <= triad_links < links, got "
+                f"{self.triad_links!r} vs {self.links}")
 
 
 @dataclass(frozen=True)
@@ -274,18 +278,7 @@ class _RewireState:
         self.tri = snap[3].copy()
 
     def connected(self) -> bool:
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            i = stack.pop()
-            for j in self.adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    count += 1
-                    stack.append(j)
-        return count == self.n
+        return is_connected(Graph(self.n, self.edges, np.ones(len(self.edges))))
 
     def _remove(self, u: int, v: int) -> None:
         self.adj[u].discard(v)

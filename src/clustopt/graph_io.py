@@ -10,14 +10,21 @@ canonical order, so write/read round-trips are byte-stable.
 Edge-list ingestion accepts the KONECT conventions: ``%``-prefixed comment
 lines, whitespace-separated ``u v [weight [timestamp]]`` rows, 0- or 1-based
 ids.  Node ids are compacted to 0..n-1 in order of first appearance.
+
+The scatter and campaign emitters read the result objects of
+:mod:`clustopt.montecarlo` (``ScatterRow``, ``LabelSummary``, ``McSummary``)
+by attribute only, so this module never imports it; the campaign config
+reader lives next to ``McConfig``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .dynamics import SimConfig, TrialTrace
 from .errors import (
@@ -27,15 +34,7 @@ from .errors import (
     MalformedLineError,
     VersionMismatchError,
 )
-from .graphs import Graph, connected_components
-from .montecarlo import (
-    CostSpec,
-    LabelSummary,
-    McConfig,
-    McSummary,
-    ScatterRow,
-    TopologySpec,
-)
+from .graphs import Graph
 
 GRAPH_FORMAT_VERSION = 1
 
@@ -156,32 +155,33 @@ def parse_edge_list(text: str, opts: IngestOptions = IngestOptions()) -> Graph:
 
 
 def largest_component(g: Graph) -> Graph:
-    """Subgraph on the largest connected component, ids compacted in order."""
-    comps = connected_components(g)
-    if not comps:
+    """Subgraph on the largest connected component, ids compacted in order.
+
+    Among equally large components, the one holding the lowest node wins.
+    """
+    if g.n == 0:
         raise EmptyGraphError("graph has no nodes")
-    best = max(comps, key=len)
-    keep = np.zeros(g.n, dtype=bool)
-    keep[best] = True
-    relabel = np.full(g.n, -1, dtype=np.int64)
-    relabel[best] = np.arange(len(best))
+    _, labels = connected_components(g.adjacency(), directed=False)
+    keep = labels == labels[np.argmax(np.bincount(labels)[labels])]
+    relabel = np.cumsum(keep) - 1
     mask = keep[g.edges[:, 0]]
-    edges = relabel[g.edges[mask]]
-    return Graph(len(best), edges, g.weights[mask])
+    return Graph(int(keep.sum()), relabel[g.edges[mask]], g.weights[mask])
 
 
 # -- CSV emitters -----------------------------------------------------------
 
 
-def format_trace_csv(trace: TrialTrace) -> str:
+def _trace_csv(steps, *columns) -> str:
     lines = [TRACE_HEADER]
-    for k in range(len(trace.recorded_steps)):
-        lines.append(
-            f"{int(trace.recorded_steps[k])},{float(trace.gap[k])!r},"
-            f"{float(trace.lyapunov[k])!r},"
-            f"{float(trace.consensus_residual[k])!r},"
-            f"{float(trace.tracking_residual[k])!r}")
+    for k, step in enumerate(steps):
+        lines.append(",".join([str(int(step))]
+                              + [repr(float(c[k])) for c in columns]))
     return "\n".join(lines) + "\n"
+
+
+def format_trace_csv(trace: TrialTrace) -> str:
+    return _trace_csv(trace.recorded_steps, trace.gap, trace.lyapunov,
+                      trace.consensus_residual, trace.tracking_residual)
 
 
 def write_trace_csv(trace: TrialTrace, path: str) -> None:
@@ -207,18 +207,12 @@ def write_trace_meta(path: str, cfg: SimConfig, trace: TrialTrace,
         fh.write("\n")
 
 
-def format_mean_trace_csv(ls: LabelSummary) -> str:
-    lines = [TRACE_HEADER]
-    for k in range(len(ls.recorded_steps)):
-        lines.append(
-            f"{int(ls.recorded_steps[k])},{float(ls.mean_gap[k])!r},"
-            f"{float(ls.mean_lyapunov[k])!r},"
-            f"{float(ls.mean_consensus_residual[k])!r},"
-            f"{float(ls.mean_tracking_residual[k])!r}")
-    return "\n".join(lines) + "\n"
+def format_mean_trace_csv(ls) -> str:
+    return _trace_csv(ls.recorded_steps, ls.mean_gap, ls.mean_lyapunov,
+                      ls.mean_consensus_residual, ls.mean_tracking_residual)
 
 
-def format_scatter_csv(rows: list[ScatterRow]) -> str:
+def format_scatter_csv(rows) -> str:
     lines = [SCATTER_HEADER]
     for r in rows:
         lam = "" if r.lambda2 is None else repr(float(r.lambda2))
@@ -228,101 +222,15 @@ def format_scatter_csv(rows: list[ScatterRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_scatter_csv(rows: list[ScatterRow], path: str) -> None:
+def write_scatter_csv(rows, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_scatter_csv(rows))
 
 
-# -- campaign config and summary --------------------------------------------
+# -- campaign summary ------------------------------------------------------
 
 
-def sim_to_dict(sim: SimConfig) -> dict:
-    return {
-        "alpha": sim.alpha,
-        "steps": sim.steps,
-        "h": sim.h,
-        "record_stride": sim.record_stride,
-        "gap_tolerance": sim.gap_tolerance,
-        "x_init_range": list(sim.x_init_range),
-    }
-
-
-def sim_from_dict(doc: dict) -> SimConfig:
-    return SimConfig(
-        alpha=float(doc["alpha"]),
-        steps=int(doc["steps"]),
-        h=None if doc.get("h") is None else float(doc["h"]),
-        record_stride=int(doc.get("record_stride", 1)),
-        gap_tolerance=float(doc.get("gap_tolerance", 0.0)),
-        x_init_range=tuple(doc.get("x_init_range", (-5.0, 5.0))),
-    )
-
-
-def topology_to_dict(t: TopologySpec) -> dict:
-    doc: dict = {"label": t.label, "model": t.model}
-    if t.model in ("ba", "hk"):
-        doc["n"] = t.n
-        doc["links"] = t.links
-        if t.model == "hk":
-            doc["triad_links"] = t.triad_links
-        if t.seed_size is not None:
-            doc["seed_size"] = t.seed_size
-    else:
-        doc["path"] = t.path
-    return doc
-
-
-def topology_from_dict(doc: dict) -> TopologySpec:
-    return TopologySpec(
-        label=str(doc["label"]),
-        model=str(doc["model"]),
-        n=doc.get("n"),
-        links=doc.get("links"),
-        triad_links=int(doc.get("triad_links", 0)),
-        seed_size=doc.get("seed_size"),
-        path=doc.get("path"),
-    )
-
-
-def config_to_dict(cfg: McConfig) -> dict:
-    return {
-        "topologies": [topology_to_dict(t) for t in cfg.topologies],
-        "cost_spec": {"family": cfg.cost_spec.family, "m": cfg.cost_spec.m},
-        "sim": sim_to_dict(cfg.sim),
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "weight_range": list(cfg.weight_range),
-        "resample_cost": cfg.resample_cost,
-    }
-
-
-def config_from_dict(doc: dict) -> McConfig:
-    try:
-        cost = doc.get("cost_spec", {})
-        return McConfig(
-            topologies=tuple(topology_from_dict(t) for t in doc["topologies"]),
-            cost_spec=CostSpec(family=cost.get("family", "quartic"),
-                               m=int(cost.get("m", 20))),
-            sim=sim_from_dict(doc["sim"]),
-            trials=int(doc["trials"]),
-            base_seed=int(doc["base_seed"]),
-            weight_range=tuple(doc.get("weight_range", (0.5, 1.5))),
-            resample_cost=str(doc.get("resample_cost", "per_trial")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphParseError(f"malformed campaign config: {exc}") from exc
-
-
-def read_config(path: str) -> McConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(f"invalid config JSON: {exc}") from exc
-    return config_from_dict(doc)
-
-
-def summary_to_dict(summary: McSummary) -> dict:
+def summary_to_dict(summary) -> dict:
     return {
         "h": summary.h,
         "config": summary.config,
@@ -349,14 +257,12 @@ def summary_to_dict(summary: McSummary) -> dict:
     }
 
 
-def format_summary_json(summary: McSummary) -> str:
+def format_summary_json(summary) -> str:
     return json.dumps(summary_to_dict(summary), indent=2, sort_keys=True) + "\n"
 
 
-def write_campaign_outputs(summary: McSummary, outdir: str) -> None:
+def write_campaign_outputs(summary, outdir: str) -> None:
     """Emit ``summary.json`` plus one mean-trace CSV per label."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(format_summary_json(summary))

@@ -12,19 +12,25 @@ When the step size is left unset, the campaign makes a first deterministic
 pass over all trials to take the most conservative stability bound, then
 reruns them with half that bound, so every label is integrated with one
 common step size.
+
+The campaign config document is read and echoed here, next to
+:class:`McConfig`; :mod:`clustopt.graph_io` only writes the results.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import CostModel, aggregate_optimum, sample_cost
 from .dynamics import SimConfig, TrialTrace, initialize, run, stability_max_step
-from .errors import ClustoptError, IndexOutOfRangeError, InvalidParamsError
+from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
 from .generators import BaParams, HkParams, generate_ba, generate_hk
+from .graph_io import read_graph
 from .graphs import Graph, assign_random_weights, global_clustering, is_connected
 from .spectral import lambda2_laplacian, spectral_report
 
@@ -83,8 +89,16 @@ class McConfig:
     resample_cost: str = "per_trial"  # or "once"
 
     def validate(self) -> None:
+        if not self.topologies:
+            raise InvalidParamsError("topologies must list at least one topology")
         if self.trials < 1:
             raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
+        w = self.weight_range
+        if not (len(w) == 2 and all(isinstance(v, numbers.Real) for v in w)
+                and 0 < w[0] <= w[1]):
+            raise InvalidParamsError(
+                f"weight_range must be [low, high] with 0 < low <= high, "
+                f"got {list(w)}")
         labels = [t.label for t in self.topologies]
         if len(set(labels)) != len(labels):
             raise InvalidParamsError(f"duplicate topology labels in {labels}")
@@ -97,6 +111,92 @@ class McConfig:
         for t in self.topologies:
             t.validate()
         self.sim.validate()
+
+
+def sim_to_dict(sim: SimConfig) -> dict:
+    return {
+        "alpha": sim.alpha,
+        "steps": sim.steps,
+        "h": sim.h,
+        "record_stride": sim.record_stride,
+        "gap_tolerance": sim.gap_tolerance,
+        "x_init_range": list(sim.x_init_range),
+    }
+
+
+def sim_from_dict(doc: dict) -> SimConfig:
+    return SimConfig(
+        alpha=float(doc["alpha"]),
+        steps=int(doc["steps"]),
+        h=None if doc.get("h") is None else float(doc["h"]),
+        record_stride=int(doc.get("record_stride", 1)),
+        gap_tolerance=float(doc.get("gap_tolerance", 0.0)),
+        x_init_range=tuple(doc.get("x_init_range", (-5.0, 5.0))),
+    )
+
+
+def topology_to_dict(t: TopologySpec) -> dict:
+    doc: dict = {"label": t.label, "model": t.model}
+    if t.model in ("ba", "hk"):
+        doc["n"] = t.n
+        doc["links"] = t.links
+        if t.model == "hk":
+            doc["triad_links"] = t.triad_links
+        if t.seed_size is not None:
+            doc["seed_size"] = t.seed_size
+    else:
+        doc["path"] = t.path
+    return doc
+
+
+def topology_from_dict(doc: dict) -> TopologySpec:
+    return TopologySpec(
+        label=str(doc["label"]),
+        model=str(doc["model"]),
+        n=doc.get("n"),
+        links=doc.get("links"),
+        triad_links=int(doc.get("triad_links", 0)),
+        seed_size=doc.get("seed_size"),
+        path=doc.get("path"),
+    )
+
+
+def config_to_dict(cfg: McConfig) -> dict:
+    return {
+        "topologies": [topology_to_dict(t) for t in cfg.topologies],
+        "cost_spec": {"family": cfg.cost_spec.family, "m": cfg.cost_spec.m},
+        "sim": sim_to_dict(cfg.sim),
+        "trials": cfg.trials,
+        "base_seed": cfg.base_seed,
+        "weight_range": list(cfg.weight_range),
+        "resample_cost": cfg.resample_cost,
+    }
+
+
+def config_from_dict(doc: dict) -> McConfig:
+    try:
+        cost = doc.get("cost_spec", {})
+        return McConfig(
+            topologies=tuple(topology_from_dict(t) for t in doc["topologies"]),
+            cost_spec=CostSpec(family=cost.get("family", "quartic"),
+                               m=int(cost.get("m", 20))),
+            sim=sim_from_dict(doc["sim"]),
+            trials=int(doc["trials"]),
+            base_seed=int(doc["base_seed"]),
+            weight_range=tuple(doc.get("weight_range", (0.5, 1.5))),
+            resample_cost=str(doc.get("resample_cost", "per_trial")),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphParseError(f"malformed campaign config: {exc}") from exc
+
+
+def read_config(path: str) -> McConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphParseError(f"invalid config JSON: {exc}") from exc
+    return config_from_dict(doc)
 
 
 @dataclass
@@ -168,8 +268,6 @@ def _generate_topology(topo: TopologySpec, rng: np.random.Generator,
         return generate_hk(
             HkParams(topo.n, topo.links, topo.triad_links, topo.seed_size), rng)
     if topo.path not in file_cache:
-        from .graph_io import read_graph
-
         file_cache[topo.path] = read_graph(topo.path)
     return file_cache[topo.path]
 
@@ -247,8 +345,6 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
     file_cache: dict = {}
     h = cfg.sim.h if cfg.sim.h is not None else _campaign_step_size(cfg, file_cache)
     sim = replace(cfg.sim, h=h)
-
-    from .graph_io import config_to_dict
 
     labels: list[LabelSummary] = []
     per_trial_gaps: dict[str, np.ndarray] = {}

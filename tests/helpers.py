@@ -15,34 +15,39 @@ from clustopt.graphs import Graph
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
-    """Erdos-Renyi style graph, unit weights, possibly disconnected."""
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                edges.append((i, j))
-    e = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), np.int64)
-    return Graph(n, e, np.ones(len(edges)))
+    """Erdos-Renyi style graph, unit weights, possibly disconnected.
+
+    One uniform draw per node pair ``i < j``, in row-major order.
+    """
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.uniform(size=i.shape[0]) < p
+    e = np.column_stack((i[keep], j[keep])).astype(np.int64)
+    return Graph(n, e, np.ones(e.shape[0]))
 
 
 def random_connected_graph(rng: np.random.Generator, n: int,
                            extra_p: float = 0.1) -> Graph:
-    """Random spanning tree plus extra edges: connected by construction."""
-    edges = set()
-    for i in range(1, n):
-        edges.add((int(rng.integers(0, i)), i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in edges and rng.uniform() < extra_p:
-                edges.add((i, j))
-    e = np.array(sorted(edges), dtype=np.int64)
-    return Graph(n, e, np.ones(len(e)))
+    """Random spanning tree plus extra edges: connected by construction.
+
+    Node ``i`` hangs off a uniform earlier node; then every other pair
+    ``i < j``, in row-major order, takes one uniform draw.
+    """
+    parent = [int(rng.integers(0, i)) for i in range(1, n)]
+    tree = np.zeros((n, n), dtype=bool)
+    tree[parent, np.arange(1, n)] = True
+    i, j = np.triu_indices(n, k=1)
+    free = ~tree[i, j]
+    i, j = i[free], j[free]
+    keep = rng.uniform(size=i.shape[0]) < extra_p
+    e = np.column_stack((np.concatenate((parent, i[keep])),
+                         np.concatenate((np.arange(1, n), j[keep]))))
+    return Graph(n, e.astype(np.int64), np.ones(e.shape[0]))
 
 
-def brute_force_clustering(g: Graph) -> float:
-    """Triple-enumeration oracle for the global clustering coefficient."""
+def brute_force_triangles(g: Graph) -> np.ndarray:
+    """Triangles through each node, by enumerating node triples."""
     adj = [set(map(int, g.neighbors(i))) for i in range(g.n)]
-    tri = [0] * g.n
+    tri = np.zeros(g.n, dtype=np.int64)
     for a in range(g.n):
         for b in range(a + 1, g.n):
             if b not in adj[a]:
@@ -52,9 +57,16 @@ def brute_force_clustering(g: Graph) -> float:
                     tri[a] += 1
                     tri[b] += 1
                     tri[c] += 1
+    return tri
+
+
+def brute_force_clustering(g: Graph) -> float:
+    """Triple-enumeration oracle for the global clustering coefficient."""
+    tri = brute_force_triangles(g)
+    deg = [len(g.neighbors(i)) for i in range(g.n)]
     total = 0.0
     for i in range(g.n):
-        d = len(adj[i])
+        d = deg[i]
         if d >= 2:
             total += 2.0 * tri[i] / (d * (d - 1.0))
     return total / g.n if g.n else 0.0

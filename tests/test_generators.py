@@ -8,6 +8,7 @@ from clustopt.generators import (
     RewireParams,
     generate_ba,
     generate_hk,
+    _RewireState,
     rewire_increase_clustering,
 )
 from clustopt.graphs import (
@@ -284,3 +285,29 @@ class TestRewire:
             RewireParams(target_clustering=0.0, max_swaps=5).validate()
         with pytest.raises(InvalidParamsError):
             RewireParams(target_clustering=0.5, max_swaps=-1).validate()
+
+    @pytest.mark.parametrize("interval", [1, 1000])
+    def test_rollback_restores_last_connected_state(self, monkeypatch,
+                                                    interval):
+        # sparse 12-node graphs split under most greedy swaps, so a check
+        # after every accepted swap (interval 1) or only after the loop
+        # (interval 1000) takes the rollback path on most seeds
+        rolled_back = set()
+        restore = _RewireState.restore
+
+        def counted(state, snap):
+            rolled_back.add(seed)
+            restore(state, snap)
+
+        monkeypatch.setattr(_RewireState, "restore", counted)
+        params = RewireParams(target_clustering=1.0, max_swaps=200,
+                              connectivity_check_interval=interval)
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            g = random_connected_graph(rng, 12, 0.05)
+            out, report = rewire_increase_clustering(g, params, rng)
+            assert is_connected(out)
+            assert np.array_equal(out.degrees(), g.degrees())
+            assert report.final_c == pytest.approx(
+                global_clustering(out).global_mean, abs=1e-12)
+        assert len(rolled_back) >= 250

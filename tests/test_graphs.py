@@ -27,7 +27,7 @@ from clustopt.graphs import (
     predicted_c_ba,
     predicted_c_hk,
 )
-from helpers import brute_force_clustering, random_graph
+from helpers import brute_force_clustering, brute_force_triangles, random_graph
 
 
 def k4_minus_edge():
@@ -105,6 +105,9 @@ class TestConnectivity:
     def test_single_node(self):
         assert is_connected(build_graph([], n=1))
 
+    def test_empty_graph(self):
+        assert is_connected(build_graph([], n=0))
+
 
 class TestRandomWeights:
     def test_degenerate_range_gives_exact_ones(self):
@@ -171,6 +174,21 @@ class TestClustering:
             assert report.global_mean == pytest.approx(
                 brute_force_clustering(g), abs=1e-12)
             assert ((0.0 <= report.local) & (report.local <= 1.0)).all()
+
+    def test_triangle_counts_match_triple_enumeration(self):
+        rng = np.random.default_rng(29)
+        graphs = [random_graph(rng, int(rng.integers(0, 40)), p)
+                  for p in (0.05, 0.2, 0.5, 0.9) for _ in range(10)]
+        graphs += [
+            build_graph([], n=0),
+            build_graph([(0, 1, 1), (1, 2, 1), (0, 2, 1)], n=6),  # isolated
+            complete_graph(7),
+            build_graph([(0, i, 1) for i in range(1, 9)]),  # star
+        ]
+        for g in graphs:
+            triangles = global_clustering(g).triangles_per_node
+            assert triangles.dtype == np.int64
+            assert np.array_equal(triangles, brute_force_triangles(g))
 
     @pytest.mark.parametrize("l2", [1, 2, 3])
     def test_matches_networkx_on_generated_graphs(self, l2):

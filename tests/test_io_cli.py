@@ -138,6 +138,15 @@ class TestEdgeListIngestion:
         g = complete_graph(4)
         assert largest_component(g) == g
 
+    def test_largest_component_tie_goes_to_lowest_node(self):
+        # two triangles of equal size; the one holding node 1 wins
+        g = build_graph([(0, 5, 1.0), (1, 2, 2.0), (2, 3, 2.0), (1, 3, 2.0),
+                         (4, 6, 3.0), (6, 7, 3.0), (4, 7, 3.0)])
+        lcc = largest_component(g)
+        assert lcc.n == 3
+        assert lcc.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert (lcc.weights == 2.0).all()
+
 
 class TestCsvEmitters:
     def test_trace_csv_schema(self):
@@ -297,6 +306,36 @@ class TestCli:
         assert (out1 / "mean_trace_SF.csv").exists()
         assert (out1 / "mean_trace_CSF.csv").read_bytes() \
             == (out2 / "mean_trace_CSF.csv").read_bytes()
+
+    @pytest.mark.parametrize("path, value", [
+        (("weight_range",), [0.5, 1, 2]),
+        (("sim", "x_init_range"), [1.0]),
+        (("topologies", 0, "n"), "30"),
+        (("topologies",), []),
+    ])
+    def test_mc_malformed_config_exits_1(self, tmp_path, capsys, path, value):
+        config = {
+            "topologies": [{"label": "SF", "model": "ba", "n": 30, "links": 3}],
+            "cost_spec": {"family": "quartic", "m": 20},
+            "sim": {"alpha": 1.0, "steps": 10, "h": None, "record_stride": 5,
+                    "gap_tolerance": 0.0, "x_init_range": [-5.0, 5.0]},
+            "trials": 1,
+            "base_seed": 3,
+            "weight_range": [0.5, 1.5],
+        }
+        *parents, last = path
+        target = config
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["mc", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-params:")
+        assert last in err
+        assert err.count("\n") == 1
 
     def test_usage_errors_exit_2(self, capsys):
         assert main(["generate", "--model", "ba"]) == 2
