@@ -125,7 +125,9 @@ class QuarticModel(_CostFamily):
         return self.a * (x - self.b) ** 4
 
     def gradient_nodes(self, x: np.ndarray) -> np.ndarray:
-        return 4.0 * self.a * (x - self.b) ** 3
+        # the integration hot path: products, not libm pow (up to 2 ulp apart)
+        d = x - self.b
+        return 4.0 * self.a * (d * d * d)
 
     def hessian_nodes(self, x: np.ndarray) -> np.ndarray:
         return 12.0 * self.a * (x - self.b) ** 2

@@ -10,8 +10,10 @@ independent of execution order.
 
 When the step size is left unset, the campaign makes a first deterministic
 pass over all trials to take the most conservative stability bound, then
-reruns them with half that bound, so every label is integrated with one
-common step size.
+integrates them with half that bound, so every label is integrated with one
+common step size.  Only the first pass grows graphs: it keeps each trial's
+edges and generator state, and the second pass rebuilds the trial from
+them, so every trial's graph is grown once whether or not ``h`` is set.
 
 The campaign config document is read and echoed here, next to
 :class:`McConfig`; :mod:`clustopt.graph_io` only writes the results.
@@ -23,6 +25,7 @@ import json
 import logging
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +116,13 @@ class McConfig:
         self.sim.validate()
 
 
+def _integer(value, name: str) -> int:
+    """A config field that must be an integer: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sim_to_dict(sim: SimConfig) -> dict:
     return {
         "alpha": sim.alpha,
@@ -127,9 +137,10 @@ def sim_to_dict(sim: SimConfig) -> dict:
 def sim_from_dict(doc: dict) -> SimConfig:
     return SimConfig(
         alpha=float(doc["alpha"]),
-        steps=int(doc["steps"]),
+        steps=_integer(doc["steps"], "sim.steps"),
         h=None if doc.get("h") is None else float(doc["h"]),
-        record_stride=int(doc.get("record_stride", 1)),
+        record_stride=_integer(doc.get("record_stride", 1),
+                               "sim.record_stride"),
         gap_tolerance=float(doc.get("gap_tolerance", 0.0)),
         x_init_range=tuple(doc.get("x_init_range", (-5.0, 5.0))),
     )
@@ -155,7 +166,7 @@ def topology_from_dict(doc: dict) -> TopologySpec:
         model=str(doc["model"]),
         n=doc.get("n"),
         links=doc.get("links"),
-        triad_links=int(doc.get("triad_links", 0)),
+        triad_links=_integer(doc.get("triad_links", 0), "triad_links"),
         seed_size=doc.get("seed_size"),
         path=doc.get("path"),
     )
@@ -179,10 +190,10 @@ def config_from_dict(doc: dict) -> McConfig:
         return McConfig(
             topologies=tuple(topology_from_dict(t) for t in doc["topologies"]),
             cost_spec=CostSpec(family=cost.get("family", "quartic"),
-                               m=int(cost.get("m", 20))),
+                               m=_integer(cost.get("m", 20), "cost_spec.m")),
             sim=sim_from_dict(doc["sim"]),
-            trials=int(doc["trials"]),
-            base_seed=int(doc["base_seed"]),
+            trials=_integer(doc["trials"], "trials"),
+            base_seed=_integer(doc["base_seed"], "base_seed"),
             weight_range=tuple(doc.get("weight_range", (0.5, 1.5))),
             resample_cost=str(doc.get("resample_cost", "per_trial")),
         )
@@ -243,6 +254,13 @@ class ScatterRow:
     rate: float | None
 
 
+class _Grown(NamedTuple):
+    """One trial's growth, kept between the step-size and integration passes."""
+
+    edges: np.ndarray  # canonical (E, 2) int32: 8 bytes per edge
+    rng_state: dict    # the (label, trial) generator right after growth
+
+
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -272,20 +290,33 @@ def _generate_topology(topo: TopologySpec, rng: np.random.Generator,
     return file_cache[topo.path]
 
 
-def _trial_inputs(cfg: McConfig, topo: TopologySpec, label_index: int,
-                  trial_index: int, file_cache: dict,
-                  shared_model: CostModel | None):
-    """Graph, weights, cost model and initial state for one trial.
+def _trial_graph(cfg: McConfig, topo: TopologySpec, label_index: int,
+                 trial_index: int, file_cache: dict,
+                 grown: _Grown | None = None):
+    """Unit-weight graph of one trial and its (label, trial) generator.
 
-    Topology and weights come from the (label, trial) stream; the cost model
+    The generator is left where growth left it, ready for the weight draws.
+    ``grown`` rebuilds the graph and that position from an earlier growth of
+    the same trial instead of growing again.
+    """
+    rng = np.random.default_rng(
+        trial_seed(cfg.base_seed, label_index, trial_index))
+    if grown is None:
+        return _generate_topology(topo, rng, file_cache), rng
+    rng.bit_generator.state = grown.rng_state
+    return Graph(topo.n, grown.edges, np.ones(grown.edges.shape[0])), rng
+
+
+def _trial_inputs(cfg: McConfig, g: Graph, rng: np.random.Generator,
+                  trial_index: int, shared_model: CostModel | None):
+    """Weighted graph, cost model and initial state for one trial.
+
+    The weights come from the (label, trial) stream ``rng``; the cost model
     and initial state come from a label-independent per-trial stream, so
     labels with equal node counts face identical costs and starting points
     and the label contrast isolates the topology effect (common random
     numbers).  Everything rebuilds bit-identically from the seeds alone.
     """
-    seed = trial_seed(cfg.base_seed, label_index, trial_index)
-    rng = np.random.default_rng(seed)
-    g = _generate_topology(topo, rng, file_cache)
     wg = assign_random_weights(g, rng, *cfg.weight_range)
     rng_shared = np.random.default_rng(
         trial_seed(cfg.base_seed, _SHARED_LABEL, trial_index))
@@ -295,7 +326,7 @@ def _trial_inputs(cfg: McConfig, topo: TopologySpec, label_index: int,
         model = sample_cost(cfg.cost_spec.family, g.n, rng_shared,
                             cfg.cost_spec.m)
     state = initialize(wg, model, cfg.sim, rng_shared)
-    return seed, wg, model, state
+    return wg, model, state
 
 
 def _shared_model(cfg: McConfig, topo: TopologySpec, label_index: int,
@@ -319,19 +350,44 @@ def _label_rank(cfg: McConfig, label: str) -> int:
     return sorted(t.label for t in cfg.topologies).index(label)
 
 
-def _campaign_step_size(cfg: McConfig, file_cache: dict) -> float:
-    """Half the most conservative stability bound over all trials."""
+def _all_failed(cfg: McConfig, topo: TopologySpec) -> ClustoptError:
+    return ClustoptError(
+        f"all {cfg.trials} trials of label {topo.label!r} failed")
+
+
+def _campaign_step_size(cfg: McConfig,
+                        file_cache: dict) -> tuple[float, dict[str, list]]:
+    """Half the most conservative stability bound over the trials that build.
+
+    This pass is the only one that grows graphs.  Per label it returns one
+    entry per trial for the integration pass: the trial's :class:`_Grown`
+    growth, ``None`` for a file topology (its graph stays in
+    ``file_cache``), or the :class:`ClustoptError` that building the
+    trial's inputs raised.  A label none of whose trials builds raises.
+    """
     bound = np.inf
+    kept: dict[str, list] = {}
     for topo in cfg.topologies:
         li = _label_rank(cfg, topo.label)
         shared = _shared_model(cfg, topo, li, file_cache)
+        trials = kept[topo.label] = []
         for ti in range(cfg.trials):
-            _, wg, model, state = _trial_inputs(cfg, topo, li, ti,
-                                                file_cache, shared)
+            try:
+                g, rng = _trial_graph(cfg, topo, li, ti, file_cache)
+                grown = None if topo.model == "file" else _Grown(
+                    g.edges.astype(np.int32), rng.bit_generator.state)
+                wg, model, state = _trial_inputs(cfg, g, rng, ti, shared)
+            except ClustoptError as exc:
+                # without its frames, which would keep the trial's graph alive
+                trials.append(exc.with_traceback(None))
+                continue
+            trials.append(grown)
             bound = min(bound, stability_max_step(wg, cfg.sim.alpha, model, state))
+        if all(isinstance(t, ClustoptError) for t in trials):
+            raise _all_failed(cfg, topo)
     if not np.isfinite(bound):
         raise InvalidParamsError("stability bound is unbounded; set sim.h explicitly")
-    return 0.5 * bound
+    return 0.5 * bound, kept
 
 
 def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
@@ -340,10 +396,18 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
     Trials with non-finite states are excluded from every mean and counted
     as diverged; domain errors go to the per-label error ledger.  A label
     where no trial succeeds aborts the campaign.
+
+    Each trial's graph is grown once.  With ``sim.h`` unset, the step-size
+    pass keeps each grown trial's edges as int32 (8 bytes per edge per
+    trial) and its generator state, and the integration pass rebuilds the
+    trial from them.
     """
     cfg.validate()
     file_cache: dict = {}
-    h = cfg.sim.h if cfg.sim.h is not None else _campaign_step_size(cfg, file_cache)
+    if cfg.sim.h is None:
+        h, kept = _campaign_step_size(cfg, file_cache)
+    else:
+        h, kept = cfg.sim.h, {}
     sim = replace(cfg.sim, h=h)
 
     labels: list[LabelSummary] = []
@@ -351,6 +415,7 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
     for topo in cfg.topologies:
         li = _label_rank(cfg, topo.label)
         shared = _shared_model(cfg, topo, li, file_cache)
+        grown = kept.get(topo.label, [None] * cfg.trials)
         seeds: list[int] = []
         errors: list[tuple[int, str, str]] = []
         traces: list[TrialTrace] = []
@@ -360,11 +425,13 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
         diverged = 0
         for ti in range(cfg.trials):
             seeds.append(trial_seed(cfg.base_seed, li, ti))
+            record = grown[ti]
             try:
-                seed, wg, model, state = _trial_inputs(cfg, topo, li, ti,
-                                                       file_cache, shared)
-                trace = run(wg, model, sim, np.random.default_rng(seed),
-                            initial_state=state)
+                if isinstance(record, ClustoptError):
+                    raise record  # the step-size pass met it; ledger it once
+                g, rng = _trial_graph(cfg, topo, li, ti, file_cache, record)
+                wg, model, state = _trial_inputs(cfg, g, rng, ti, shared)
+                trace = run(wg, model, sim, rng, initial_state=state)
             except ClustoptError as exc:
                 errors.append((ti, exc.code, str(exc)))
                 continue
@@ -378,8 +445,7 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
             avg_degrees.append(2.0 * wg.edge_count / wg.n)
             lambda2s.append(lambda2_laplacian(wg))
         if not traces:
-            raise ClustoptError(
-                f"all {cfg.trials} trials of label {topo.label!r} failed")
+            raise _all_failed(cfg, topo)
         gap_matrix = np.vstack([t.gap for t in traces])
         final = gap_matrix[:, -1]
         labels.append(LabelSummary(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,28 @@ class TestEvaluation:
         vals = model.value_nodes(x)
         for i in range(6):
             assert vals[i] == pytest.approx(model.value(i, x[i]), rel=1e-14)
+
+
+class TestQuarticGradientKernel:
+    def test_within_two_ulp_of_exact_arithmetic(self):
+        """``gradient_nodes`` against exact rationals on 10^4 points.
+
+        The reference is ``4·a·d³`` in exact arithmetic at the rounded
+        difference ``d = x - b``; that subtraction is the one rounding the
+        kernel shares with any float evaluation of the model, and its error
+        is cubed, so an exact reference from ``x`` and ``b`` themselves
+        would measure the input rounding, not the kernel.  The kernel then
+        rounds three times (``d·d``, ``·d``, ``4a·``).
+        """
+        rng = np.random.default_rng(2024)
+        model = sample_quartic(10_000, rng)
+        x = rng.uniform(-15.0, 15.0, 10_000)
+        got = model.gradient_nodes(x)
+        d = x - model.b
+        exact = np.array([float(4 * Fraction(a) * Fraction(di) ** 3)
+                          for a, di in zip(model.a, d)])
+        ulps = np.abs(got - exact) / np.spacing(np.abs(exact))
+        assert ulps.max() <= 2.0
 
 
 class TestDerivativeOracle:

@@ -312,6 +312,12 @@ class TestCli:
         (("sim", "x_init_range"), [1.0]),
         (("topologies", 0, "n"), "30"),
         (("topologies",), []),
+        (("trials",), 2.5),
+        (("base_seed",), True),
+        (("cost_spec", "m"), 20.5),
+        (("sim", "steps"), 10.9),
+        (("sim", "record_stride"), True),
+        (("topologies", 0, "triad_links"), 1.7),
     ])
     def test_mc_malformed_config_exits_1(self, tmp_path, capsys, path, value):
         config = {

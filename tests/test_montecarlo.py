@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,126 @@ class TestRunMc:
             sim=cfg.sim, trials=2, base_seed=5, resample_cost="once")
         summary = run_mc(cfg_once)
         assert summary.labels[0].trial_count == 2
+
+
+def _with_h(cfg, h):
+    return replace(cfg, sim=replace(cfg.sim, h=h))
+
+
+def _assert_same_summary(a, b):
+    assert a.h == b.h
+    assert [ls.label for ls in a.labels] == [ls.label for ls in b.labels]
+    for la, lb in zip(a.labels, b.labels):
+        for name, value in vars(la).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(lb, name)), name
+            else:
+                assert value == getattr(lb, name), name
+        assert np.array_equal(a.per_trial_gaps[la.label],
+                              b.per_trial_gaps[lb.label])
+
+
+class TestOneGrowthPerTrial:
+    @pytest.mark.parametrize("h", [None, 0.01])
+    def test_grows_labels_times_trials_graphs(self, monkeypatch, h):
+        from clustopt import generators
+
+        calls = []
+        grow = generators._grow
+
+        def counting_grow(*args):
+            calls.append(args[0])
+            return grow(*args)
+
+        monkeypatch.setattr(generators, "_grow", counting_grow)
+        cfg = McConfig(
+            topologies=(TopologySpec("BA", "ba", n=40, links=3),
+                        TopologySpec("HK", "hk", n=40, links=3,
+                                     triad_links=2)),
+            cost_spec=CostSpec(family="quartic"),
+            sim=SimConfig(alpha=1.0, steps=20, h=h, record_stride=10),
+            trials=4,
+            base_seed=8,
+        )
+        run_mc(cfg)
+        assert len(calls) == 2 * 4
+
+    @pytest.mark.parametrize("case", ["ba", "hk", "file", "once"])
+    def test_rebuilt_inputs_match_fresh_growth(self, tmp_path, case):
+        """``h: null`` rebuilds trials from kept edges and generator states;
+        an explicit ``h`` grows them afresh.  At the same ``h`` the two
+        campaigns must agree bit for bit."""
+        from clustopt.graph_io import write_graph
+        from clustopt.generators import BaParams, generate_ba
+
+        topo = {
+            "ba": TopologySpec("T", "ba", n=60, links=3),
+            "hk": TopologySpec("T", "hk", n=60, links=4, triad_links=2),
+            "file": TopologySpec("T", "file", path=str(tmp_path / "g.json")),
+            "once": TopologySpec("T", "hk", n=60, links=3, triad_links=1),
+        }[case]
+        write_graph(generate_ba(BaParams(60, 3), np.random.default_rng(4)),
+                    str(tmp_path / "g.json"))
+        cfg = McConfig(
+            topologies=(topo, TopologySpec("SF", "ba", n=60, links=2)),
+            cost_spec=CostSpec(family="quartic"),
+            sim=SimConfig(alpha=1.0, steps=60, record_stride=20),
+            trials=3,
+            base_seed=17,
+            resample_cost="once" if case == "once" else "per_trial",
+        )
+        derived = run_mc(cfg, keep_trial_gaps=True)
+        fresh = run_mc(_with_h(cfg, derived.h), keep_trial_gaps=True)
+        _assert_same_summary(derived, fresh)
+
+    @pytest.mark.parametrize("h", [None, 1e-3])
+    def test_failed_label_raises_the_same_error_for_any_h(self, tmp_path, h):
+        from clustopt.graph_io import write_graph
+
+        path = tmp_path / "disc.json"
+        write_graph(build_graph([(0, 1, 1), (2, 3, 1)], n=4), str(path))
+        cfg = McConfig(
+            topologies=(TopologySpec("A", "ba", n=30, links=3),
+                        TopologySpec("D", "file", path=str(path))),
+            cost_spec=CostSpec(family="quartic"),
+            sim=SimConfig(alpha=1.0, steps=10, h=h),
+            trials=2,
+            base_seed=1,
+        )
+        with pytest.raises(ClustoptError) as info:
+            run_mc(cfg)
+        assert info.value.code == "error"
+        assert str(info.value) == "all 2 trials of label 'D' failed"
+
+    def test_failed_trial_is_ledgered_once_and_left_out_of_h(
+            self, monkeypatch):
+        """Trial 1 of every label fails to initialize.  The derived ``h``
+        is the bound over the other trials, and both settings of ``h``
+        record the failure once per label."""
+        from clustopt import montecarlo
+        from clustopt.costs import sample_quartic
+        from clustopt.errors import DisconnectedError
+
+        cfg = small_config(base_seed=6, trials=3)
+        unpatched_h = run_mc(cfg).h
+        bad = sample_quartic(40, np.random.default_rng(
+            trial_seed(6, montecarlo._SHARED_LABEL, 1))).a[0]
+        initialize = montecarlo.initialize
+
+        def failing_initialize(g, model, sim, rng):
+            if model.a[0] == bad:
+                raise DisconnectedError("trial 1 fails")
+            return initialize(g, model, sim, rng)
+
+        monkeypatch.setattr(montecarlo, "initialize", failing_initialize)
+        derived = run_mc(cfg, keep_trial_gaps=True)
+        fresh = run_mc(_with_h(cfg, derived.h), keep_trial_gaps=True)
+        _assert_same_summary(derived, fresh)
+        for ls in derived.labels:
+            assert ls.errors == [(1, "disconnected", "trial 1 fails")]
+            assert ls.trial_count == 2
+        # a bound taken over fewer trials is no tighter
+        assert derived.h >= unpatched_h
 
 
 class TestCompareTopologies:
