@@ -49,6 +49,11 @@ from .graphs import Graph, global_clustering, is_connected
 _TRIAD_SCAN_LIMIT = 16  # rejection tries before listing eligible neighbors
 
 
+def _is_int(v) -> bool:
+    """True for integers, False for bools (a bool is a numbers.Integral)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BaParams:
     """Preferential-attachment growth parameters.
@@ -67,7 +72,7 @@ class BaParams:
     def validate(self) -> None:
         s = self.resolved_seed_size()
         sizes = (self.n, self.links, s)
-        if not (all(isinstance(v, numbers.Integral) for v in sizes)
+        if not (all(_is_int(v) for v in sizes)
                 and 1 <= self.links <= s <= self.n):
             raise InvalidParamsError(
                 f"need integers 1 <= links <= seed_size <= n, got "
@@ -100,7 +105,7 @@ class HkParams:
 
     def validate(self) -> None:
         BaParams(self.n, self.links, self.seed_size).validate()
-        if not (isinstance(self.triad_links, numbers.Integral)
+        if not (_is_int(self.triad_links)
                 and 0 <= self.triad_links < self.links):
             raise InvalidParamsError(
                 f"need an integer 0 <= triad_links < links, got "
@@ -117,10 +122,14 @@ class RewireParams:
         if not (0.0 < self.target_clustering <= 1.0):
             raise InvalidParamsError(
                 f"target_clustering must be in (0, 1], got {self.target_clustering}")
-        if self.max_swaps < 0:
-            raise InvalidParamsError(f"max_swaps must be >= 0, got {self.max_swaps}")
-        if self.connectivity_check_interval < 1:
-            raise InvalidParamsError("connectivity_check_interval must be >= 1")
+        if not (_is_int(self.max_swaps) and self.max_swaps >= 0):
+            raise InvalidParamsError(
+                f"max_swaps must be an integer >= 0, got {self.max_swaps!r}")
+        if not (_is_int(self.connectivity_check_interval)
+                and self.connectivity_check_interval >= 1):
+            raise InvalidParamsError(
+                f"connectivity_check_interval must be an integer >= 1, got "
+                f"{self.connectivity_check_interval!r}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 from .costs import CostModel, aggregate_optimum, sample_cost
 from .dynamics import SimConfig, TrialTrace, initialize, run, stability_max_step
 from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
-from .generators import BaParams, HkParams, generate_ba, generate_hk
+from .generators import BaParams, HkParams, _is_int, generate_ba, generate_hk
 from .graph_io import read_graph
 from .graphs import Graph, assign_random_weights, global_clustering, is_connected
 from .spectral import lambda2_laplacian, spectral_report
@@ -118,7 +118,7 @@ class McConfig:
 
 def _integer(value, name: str) -> int:
     """A config field that must be an integer: no bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's computational paths:
 clustering is rechecked by enumerating node triples, symmetric eigenvalues
-by cyclic Jacobi rotations, and derivatives by central finite differences.
+by cyclic Jacobi rotations, derivatives by central finite differences, and
+the convergence rate by a full dense eigensolve of the undeflated Jacobian.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import math
 
 import numpy as np
 
-from clustopt.graphs import Graph
+from clustopt.costs import aggregate_optimum, sample_cost
+from clustopt.generators import BaParams, HkParams, generate_ba, generate_hk
+from clustopt.graphs import Graph, assign_random_weights
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -96,6 +99,33 @@ def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100,
                 rot[q, p] = -s
                 a = rot.T @ a @ rot
     return np.sort(np.diag(a))
+
+
+def dense_jacobian_rate(lap: np.ndarray, alpha: float, h: np.ndarray,
+                        zero_tol: float) -> float:
+    """Rate measure from every eigenvalue of the undeflated 2n x 2n Jacobian.
+
+    Eigenvalues with |Re| below ``zero_tol`` are dropped as structural.
+    """
+    n = lap.shape[0]
+    jac = np.block([[-lap, -alpha * np.eye(n)],
+                    [-h[:, None] * lap, -lap - alpha * np.diag(h)]])
+    vals = np.linalg.eigvals(jac)
+    return float(-vals.real[np.abs(vals.real) >= zero_tol].max())
+
+
+def weighted_scale_free(model: str, n: int, rng: np.random.Generator) -> Graph:
+    """BA (``links=4``) or HK (``links=4``, L2 = 1) graph with random weights."""
+    g = (generate_ba(BaParams(n, 4), rng) if model == "ba"
+         else generate_hk(HkParams(n, 4, 1), rng))
+    return assign_random_weights(g, rng)
+
+
+def curvatures_at_optimum(family: str, n: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Per-node curvatures at the aggregate optimum, as scatter_report takes."""
+    model = sample_cost(family, n, rng, 20)
+    return model.hessian_nodes(np.full(n, aggregate_optimum(model).x_star))
 
 
 def central_difference(f, x: float, step: float = 1e-5) -> float:

@@ -44,6 +44,15 @@ class TestParams:
             HkParams(n=10, links=3, triad_links=-1).validate()
         HkParams(n=10, links=3, triad_links=2).validate()
 
+    def test_bools_are_not_integers(self):
+        # a bool is a numbers.Integral, so it needs its own rejection
+        for params in (BaParams(True, True), BaParams(10, 3, seed_size=True),
+                       HkParams(10, 3, triad_links=True),
+                       HkParams(True, True, 0)):
+            with pytest.raises(InvalidParamsError):
+                params.validate()
+        BaParams(np.int64(10), np.int64(3)).validate()
+
 
 class TestGrowth:
     def test_seed_only_returns_clique(self):
@@ -285,6 +294,13 @@ class TestRewire:
             RewireParams(target_clustering=0.0, max_swaps=5).validate()
         with pytest.raises(InvalidParamsError):
             RewireParams(target_clustering=0.5, max_swaps=-1).validate()
+
+    @pytest.mark.parametrize("max_swaps, interval", [
+        (2.5, 100), (True, 100), (10, 2.5), (10, True), (10.0, 100)])
+    def test_param_validation_rejects_non_integers(self, max_swaps, interval):
+        with pytest.raises(InvalidParamsError):
+            RewireParams(0.5, max_swaps, interval).validate()
+        RewireParams(0.5, np.int64(10), np.int32(5)).validate()
 
     @pytest.mark.parametrize("interval", [1, 1000])
     def test_rollback_restores_last_connected_state(self, monkeypatch,

@@ -318,6 +318,8 @@ class TestCli:
         (("sim", "steps"), 10.9),
         (("sim", "record_stride"), True),
         (("topologies", 0, "triad_links"), 1.7),
+        (("topologies", 0, "n"), True),
+        (("topologies", 0, "links"), True),
     ])
     def test_mc_malformed_config_exits_1(self, tmp_path, capsys, path, value):
         config = {

@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from clustopt import spectral
@@ -23,6 +26,7 @@ from clustopt.graphs import (
 )
 from clustopt.spectral import (
     DENSE_LIMIT,
+    RATE_DENSE_LIMIT,
     JacobianSpec,
     build_jacobian,
     convergence_rate,
@@ -32,7 +36,13 @@ from clustopt.spectral import (
     lambda2_laplacian,
     spectral_report,
 )
-from helpers import jacobi_eigenvalues, random_connected_graph
+from helpers import (
+    curvatures_at_optimum,
+    dense_jacobian_rate,
+    jacobi_eigenvalues,
+    random_connected_graph,
+    weighted_scale_free,
+)
 
 
 class TestEigSolvers:
@@ -243,6 +253,109 @@ class TestConvergenceRate:
     def test_default_zero_tol_scales_with_norm(self):
         lap = laplacian(complete_graph(5))
         assert default_zero_tol(lap) == pytest.approx(1e-9 * (1 + 8.0))
+        assert default_zero_tol(sp.csr_matrix(lap)) == default_zero_tol(lap)
+
+    def test_sparse_spec_below_limit_matches_dense_spec(self):
+        rng = np.random.default_rng(17)
+        g = assign_random_weights(random_connected_graph(rng, 40), rng)
+        h = rng.uniform(0.5, 3.0, g.n)
+        dense = convergence_rate(JacobianSpec(laplacian(g), 0.01, h))
+        for lap in (laplacian_sparse(g), sp.csr_array(laplacian(g))):
+            assert convergence_rate(JacobianSpec(lap, 0.01, h)) == dense
+
+
+@pytest.mark.filterwarnings("error")  # no solver warning may escape
+class TestMatrixFreeRate:
+    """Above RATE_DENSE_LIMIT the rate comes from ARPACK on a sparse operator;
+    each case is checked against a dense solve of the whole Jacobian."""
+
+    @staticmethod
+    def _check(g: Graph, alpha: float, h: np.ndarray) -> float:
+        lap = laplacian_sparse(g)
+        rate = convergence_rate(JacobianSpec(lap, alpha, h))
+        ref = dense_jacobian_rate(lap.toarray(), alpha, h,
+                                  default_zero_tol(lap))
+        assert abs(rate - ref) <= 1e-10 * abs(ref)
+        return rate
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0])
+    @pytest.mark.parametrize("family", ["quartic", "mlloss"])
+    @pytest.mark.parametrize("model", ["ba", "hk"])
+    def test_matches_dense_oracle(self, model, family, alpha):
+        n = RATE_DENSE_LIMIT + 50
+        rng = np.random.default_rng([n, len(model), len(family), int(alpha)])
+        g = weighted_scale_free(model, n, rng)
+        self._check(g, alpha, curvatures_at_optimum(family, n, rng))
+
+    def test_rewire_shape_slow_mode(self):
+        # HK at n = 800, mlloss, alpha = 1e-3: the rate is a slow mode at
+        # about alpha times the mean curvature, far right of the Laplacian bulk
+        rng = np.random.default_rng(800)
+        g = assign_random_weights(generate_hk(HkParams(800, 6, 1), rng), rng)
+        h = curvatures_at_optimum("mlloss", g.n, rng)
+        rate = self._check(g, 1e-3, h)
+        assert rate == pytest.approx(1e-3 * h.mean(), rel=1e-6)
+        assert rate < 0.5 * lambda2_laplacian(g)
+
+    def test_two_components(self):
+        rng = np.random.default_rng(12)
+        half = RATE_DENSE_LIMIT // 2 + 40
+        a = weighted_scale_free("ba", half, rng)
+        b = weighted_scale_free("hk", half, rng)
+        g = Graph(2 * half, np.vstack([a.edges, b.edges + half]),
+                  np.concatenate([a.weights, b.weights]))
+        self._check(g, 1e-3, curvatures_at_optimum("quartic", g.n, rng))
+
+    def test_more_components_than_arnoldi_k(self):
+        # each isolated node adds a structural zero; every component's zero
+        # is shifted away, so the k rightmost values are never all zeros
+        rng = np.random.default_rng(13)
+        g = weighted_scale_free("hk", RATE_DENSE_LIMIT + 20, rng)
+        g = Graph(g.n + 2 * spectral.ARNOLDI_K, g.edges, g.weights)
+        self._check(g, 1.0, rng.uniform(0.5, 3.0, g.n))
+
+    def test_zero_curvature_sum_takes_dense_path(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        g = weighted_scale_free("ba", RATE_DENSE_LIMIT + 50, rng)
+        h = rng.uniform(-1.0, 1.0, g.n)
+        h -= h.mean()
+        assert h.any() and abs(h.sum()) <= 1e-12 * np.abs(h).sum()
+        spec = JacobianSpec(laplacian_sparse(g), 1e-3, h)
+
+        def no_arpack(*args, **kwargs):
+            raise AssertionError("ARPACK ran with a vanishing curvature sum")
+
+        monkeypatch.setattr(spectral.spla, "eigs", no_arpack)
+        rate = convergence_rate(spec)
+        monkeypatch.setattr(spectral, "RATE_DENSE_LIMIT", g.n)
+        assert convergence_rate(spec) == rate
+
+    def test_reruns_are_bit_identical(self):
+        rng = np.random.default_rng(15)
+        g = weighted_scale_free("hk", RATE_DENSE_LIMIT + 50, rng)
+        h = curvatures_at_optimum("quartic", g.n, rng)
+        rates = {convergence_rate(JacobianSpec(laplacian_sparse(g), 1.0, h))
+                 for _ in range(3)}
+        assert len(rates) == 1
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        n = RATE_DENSE_LIMIT + 50
+        rng = np.random.default_rng(16)
+        g = weighted_scale_free("hk", n, rng)
+        h = curvatures_at_optimum("mlloss", n, rng)
+        monkeypatch.setattr(spectral, "ARNOLDI_RESTARTS_PER_NODE", 1 / n)
+        with pytest.raises(ConvergenceError):
+            convergence_rate(JacobianSpec(laplacian_sparse(g), 1.0, h))
+
+    def test_size_cap_checked_before_allocation(self):
+        n = 10_001  # Jacobian order 2n - 1 = 20001 > DEFAULT_SIZE_CAP
+        e = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+        g = Graph(n, e, np.ones(n - 1))
+        spec = JacobianSpec(laplacian_sparse(g), 1e-3, np.ones(n))
+        t0 = time.process_time()
+        with pytest.raises(SizeLimitError):
+            convergence_rate(spec)
+        assert time.process_time() - t0 < 0.5
 
 
 class TestSpectralReport:
