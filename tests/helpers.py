@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's computational paths:
 clustering is rechecked by enumerating node triples, symmetric eigenvalues
-by cyclic Jacobi rotations, derivatives by central finite differences, and
-the convergence rate by a full dense eigensolve of the undeflated Jacobian.
+by cyclic Jacobi rotations, derivatives by central finite differences,
+the convergence rate by a full dense eigensolve of the undeflated Jacobian,
+and rewiring by one proposal at a time on Python sets.
 """
 
 from __future__ import annotations
@@ -13,8 +14,21 @@ import math
 import numpy as np
 
 from clustopt.costs import aggregate_optimum, sample_cost
-from clustopt.generators import BaParams, HkParams, generate_ba, generate_hk
-from clustopt.graphs import Graph, assign_random_weights
+from clustopt.errors import DisconnectedError
+from clustopt.generators import (
+    BaParams,
+    HkParams,
+    RewireParams,
+    RewireReport,
+    generate_ba,
+    generate_hk,
+)
+from clustopt.graphs import (
+    Graph,
+    assign_random_weights,
+    global_clustering,
+    is_connected,
+)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -130,3 +144,155 @@ def curvatures_at_optimum(family: str, n: int,
 
 def central_difference(f, x: float, step: float = 1e-5) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+class _ReferenceRewireState:
+    """Set-based adjacency + per-node triangle counts during rewiring."""
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.edges = [(int(i), int(j)) for i, j in g.edges]
+        self.weights = {(int(i), int(j)): float(w)
+                        for (i, j), w in zip(g.edges, g.weights)}
+        self.adj = [set(map(int, g.neighbors(i))) for i in range(g.n)]
+        report = global_clustering(g)
+        self.tri = report.triangles_per_node.astype(np.int64).copy()
+        deg = g.degrees()
+        self.coef = np.zeros(g.n)
+        mask = deg >= 2
+        self.coef[mask] = 2.0 / (deg[mask] * (deg[mask] - 1.0))
+
+    def clustering(self) -> float:
+        return float(np.dot(self.coef, self.tri) / self.n)
+
+    def snapshot(self):
+        return (list(self.edges), dict(self.weights),
+                [set(s) for s in self.adj], self.tri.copy())
+
+    def restore(self, snap) -> None:
+        self.edges = list(snap[0])
+        self.weights = dict(snap[1])
+        self.adj = [set(s) for s in snap[2]]
+        self.tri = snap[3].copy()
+
+    def connected(self) -> bool:
+        return is_connected(Graph(self.n, self.edges, np.ones(len(self.edges))))
+
+    def _remove(self, u: int, v: int) -> None:
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        for x in self.adj[u] & self.adj[v]:
+            self.tri[x] -= 1
+            self.tri[u] -= 1
+            self.tri[v] -= 1
+
+    def _add(self, u: int, v: int) -> None:
+        for x in self.adj[u] & self.adj[v]:
+            self.tri[x] += 1
+            self.tri[u] += 1
+            self.tri[v] += 1
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+
+    def try_swap(self, e1: int, e2: int) -> bool:
+        """Apply the best triangle-increasing orientation, if any."""
+        a, b = self.edges[e1]
+        c, d = self.edges[e2]
+        if len({a, b, c, d}) < 4:
+            return False
+        adj = self.adj
+        removed = len(adj[a] & adj[b]) + len(adj[c] & adj[d])
+        # candidate orientations, with intersection counts corrected for the
+        # two edges about to disappear
+        gains = []
+        if c not in adj[a] and d not in adj[b]:
+            t = (len(adj[a] & adj[c]) - (b in adj[c]) - (d in adj[a])
+                 + len(adj[b] & adj[d]) - (a in adj[d]) - (c in adj[b]))
+            gains.append((t - removed, (a, c), (b, d)))
+        if d not in adj[a] and c not in adj[b]:
+            t = (len(adj[a] & adj[d]) - (b in adj[d]) - (c in adj[a])
+                 + len(adj[b] & adj[c]) - (a in adj[c]) - (d in adj[b]))
+            gains.append((t - removed, (a, d), (b, c)))
+        if not gains:
+            return False
+        delta, new1, new2 = max(gains, key=lambda it: it[0])
+        if delta <= 0:
+            return False
+        w1 = self.weights.pop((a, b) if a < b else (b, a))
+        w2 = self.weights.pop((c, d) if c < d else (d, c))
+        self._remove(a, b)
+        self._remove(c, d)
+        self._add(*new1)
+        self._add(*new2)
+        self.edges[e1] = new1
+        self.edges[e2] = new2
+        self.weights[tuple(sorted(new1))] = w1
+        self.weights[tuple(sorted(new2))] = w2
+        return True
+
+    def to_graph(self) -> Graph:
+        e = np.array([sorted(p) for p in self.edges], dtype=np.int64)
+        w = np.array([self.weights[tuple(sorted(p))] for p in self.edges])
+        return Graph(self.n, e, w)
+
+
+def reference_rewire(
+    g: Graph, params: RewireParams, rng: np.random.Generator,
+) -> tuple[Graph, RewireReport]:
+    """Set-based oracle for :func:`rewire_increase_clustering`.
+
+    One proposal at a time, two scalar draws each, Python set intersections
+    for every common-neighbor count.  The fast path must match its edges,
+    weights, report and final generator state bit for bit.
+    """
+    params.validate()
+    if not is_connected(g):
+        raise DisconnectedError("rewiring requires a connected input graph")
+
+    state = _ReferenceRewireState(g)
+    c = state.clustering()
+    initial_c = c
+    attempted = 0
+    accepted = 0
+    rolled_back = 0
+    since_check = 0
+    snap = state.snapshot()
+    m = len(state.edges)
+
+    while c < params.target_clustering and attempted < params.max_swaps and m >= 2:
+        e1 = int(rng.integers(0, m))
+        e2 = int(rng.integers(0, m))
+        attempted += 1
+        if e1 == e2:
+            continue
+        if state.try_swap(e1, e2):
+            accepted += 1
+            since_check += 1
+            c = state.clustering()
+            if since_check >= params.connectivity_check_interval:
+                if state.connected():
+                    snap = state.snapshot()
+                else:
+                    state.restore(snap)
+                    accepted -= since_check
+                    rolled_back += since_check
+                    c = state.clustering()
+                since_check = 0
+
+    if since_check > 0:
+        if not state.connected():
+            state.restore(snap)
+            accepted -= since_check
+            rolled_back += since_check
+            c = state.clustering()
+
+    out = state.to_graph() if accepted > 0 else g
+    report = RewireReport(
+        swaps_attempted=attempted,
+        swaps_accepted=accepted,
+        swaps_rolled_back=rolled_back,
+        initial_c=initial_c,
+        final_c=c,
+        reached_target=c >= params.target_clustering,
+    )
+    return out, report

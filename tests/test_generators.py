@@ -6,12 +6,13 @@ from clustopt.generators import (
     BaParams,
     HkParams,
     RewireParams,
+    _BLOCK,
     generate_ba,
     generate_hk,
-    _RewireState,
     rewire_increase_clustering,
 )
 from clustopt.graphs import (
+    assign_random_weights,
     build_graph,
     cycle_graph,
     degree_histogram,
@@ -21,7 +22,7 @@ from clustopt.graphs import (
     powerlaw_tail_slope,
     predicted_c_ba,
 )
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_rewire
 
 
 def expected_edges(n, links, seed_size):
@@ -303,19 +304,11 @@ class TestRewire:
         RewireParams(0.5, np.int64(10), np.int32(5)).validate()
 
     @pytest.mark.parametrize("interval", [1, 1000])
-    def test_rollback_restores_last_connected_state(self, monkeypatch,
-                                                    interval):
+    def test_rollback_restores_last_connected_state(self, interval):
         # sparse 12-node graphs split under most greedy swaps, so a check
         # after every accepted swap (interval 1) or only after the loop
         # (interval 1000) takes the rollback path on most seeds
         rolled_back = set()
-        restore = _RewireState.restore
-
-        def counted(state, snap):
-            rolled_back.add(seed)
-            restore(state, snap)
-
-        monkeypatch.setattr(_RewireState, "restore", counted)
         params = RewireParams(target_clustering=1.0, max_swaps=200,
                               connectivity_check_interval=interval)
         for seed in range(300):
@@ -326,4 +319,69 @@ class TestRewire:
             assert np.array_equal(out.degrees(), g.degrees())
             assert report.final_c == pytest.approx(
                 global_clustering(out).global_mean, abs=1e-12)
+            if report.swaps_rolled_back > 0:
+                rolled_back.add(seed)
         assert len(rolled_back) >= 250
+
+
+def _hk300(weighted):
+    rng = np.random.default_rng(42)
+    g = generate_hk(HkParams(n=300, links=5, triad_links=1), rng)
+    if weighted:
+        g = assign_random_weights(g, rng)
+    c0 = global_clustering(g).global_mean
+    return g, RewireParams(1.3 * c0, 200_000), 43
+
+
+def _rollback_sweep(interval, seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, 12, 0.05)
+    return g, RewireParams(1.0, 200, interval), seed
+
+
+def _ba(n, max_swaps, target=0.6):
+    g = generate_ba(BaParams(n, 3), np.random.default_rng(n))
+    return g, RewireParams(target, max_swaps), n + 1
+
+
+def _target_mid_block():
+    # a target just above the start is met by the first few swaps, so the
+    # run stops inside its first block
+    g = generate_ba(BaParams(200, 4), np.random.default_rng(9))
+    c0 = global_clustering(g).global_mean
+    return g, RewireParams(1.02 * c0, 100_000), 10
+
+
+EQUIVALENCE_CASES = {
+    "hk300": lambda: _hk300(False),
+    "hk300-weighted": lambda: _hk300(True),
+    **{f"sweep-{i}-{seed}": (lambda i=i, seed=seed: _rollback_sweep(i, seed))
+       for i in (1, 3, 1000) for seed in range(0, 300, 15)},
+    **{f"ba{n}": (lambda n=n: _ba(n, 5000)) for n in (63, 64, 65)},
+    **{f"budget{b}": (lambda b=b: _ba(130, b, 1.0))
+       for b in (_BLOCK - 1, _BLOCK, _BLOCK + 1)},
+    "target-mid-block": _target_mid_block,
+    "two-edges": lambda: (build_graph([(0, 1, 2.0), (1, 2, 0.5)], n=3),
+                          RewireParams(0.5, 300), 0),
+}
+
+
+@pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+def test_block_scoring_matches_reference(case):
+    """Block-scored rewiring equals the one-proposal-at-a-time oracle.
+
+    Edges, weights, report and the generator state afterwards must be
+    bit-identical, since the swaps are integer decisions taken in order.
+    """
+    g, params, seed = EQUIVALENCE_CASES[case]()
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    out, report = rewire_increase_clustering(g, params, rng_fast)
+    ref_out, ref_report = reference_rewire(g, params, rng_ref)
+    assert np.array_equal(out.edges, ref_out.edges)
+    assert np.array_equal(out.weights, ref_out.weights)
+    assert report == ref_report
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    if case == "target-mid-block":
+        assert report.reached_target
+        assert 0 < report.swaps_attempted < _BLOCK

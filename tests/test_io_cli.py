@@ -257,7 +257,8 @@ class TestCli:
                      "--out", str(out)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"swaps_attempted", "swaps_accepted",
-                               "initial_c", "final_c", "reached_target"}
+                               "swaps_rolled_back", "initial_c", "final_c",
+                               "reached_target"}
         rew = read_graph(str(out))
         assert rew.edge_count == read_graph(str(g)).edge_count
 

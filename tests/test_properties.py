@@ -16,8 +16,13 @@ from clustopt.dynamics import (  # noqa: E402
     euler_step,
     stability_max_step,
 )
+from clustopt.generators import (  # noqa: E402
+    RewireParams,
+    rewire_increase_clustering,
+)
 from clustopt.graphs import (  # noqa: E402
     assign_random_weights,
+    is_connected,
     laplacian,
     laplacian_sparse,
 )
@@ -30,6 +35,7 @@ from clustopt.spectral import (  # noqa: E402
     lambda2_laplacian,
 )
 from helpers import (  # noqa: E402
+    brute_force_clustering,
     curvatures_at_optimum,
     dense_jacobian_rate,
     random_connected_graph,
@@ -95,3 +101,24 @@ def test_lambda2_just_above_dense_limit_matches_eigvalsh(seed, extra, extra_p):
         random_connected_graph(rng, DENSE_LIMIT + extra, extra_p), rng)
     vals = np.linalg.eigvalsh(laplacian(g))
     assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40),
+       extra_p=st.floats(0.0, 0.3), raise_by=st.floats(1.05, 4.0),
+       max_swaps=st.integers(0, 3000), interval=st.integers(1, 50))
+def test_rewiring_keeps_degrees_weights_and_connectivity(
+        seed, n, extra_p, raise_by, max_swaps, interval):
+    """Rewiring moves edges only: degrees, edge count, the multiset of
+    weights and connectivity hold, and ``final_c`` is the clustering of the
+    returned graph by triple enumeration."""
+    rng = np.random.default_rng(seed)
+    g = assign_random_weights(random_connected_graph(rng, n, extra_p), rng)
+    target = float(min(1.0, raise_by * max(brute_force_clustering(g), 0.01)))
+    out, report = rewire_increase_clustering(
+        g, RewireParams(target, max_swaps, interval), rng)
+    assert np.array_equal(out.degrees(), g.degrees())
+    assert out.edge_count == g.edge_count
+    assert np.array_equal(np.sort(out.weights), np.sort(g.weights))
+    assert is_connected(out)
+    assert abs(report.final_c - brute_force_clustering(out)) <= 1e-12
