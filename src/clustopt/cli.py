@@ -14,14 +14,14 @@ import sys
 import numpy as np
 
 from . import graph_io
-from .costs import aggregate_optimum, sample_cost
+from .costs import optimum_curvatures, sample_cost
 from .dynamics import SimConfig, run
 from .errors import ClustoptError, DisconnectedError
 from .generators import BaParams, HkParams, RewireParams, generate_ba, generate_hk, \
     rewire_increase_clustering
 from .graphs import assign_random_weights, degree_stats, global_clustering, \
     is_connected, unit_weights
-from .montecarlo import CostSpec, read_config, run_mc, scatter_report
+from .montecarlo import CostSpec, ScatterRow, read_config, run_mc, scatter_report
 from .spectral import spectral_report
 
 
@@ -134,17 +134,14 @@ def _cmd_spectral(args) -> int:
         g = unit_weights(g)
     hdiag = None
     if args.cost:
-        rng = np.random.default_rng(args.cost_seed)
-        model = sample_cost(args.cost, g.n, rng)
-        cert = aggregate_optimum(model)
-        hdiag = model.hessian_nodes(np.full(g.n, cert.x_star))
+        hdiag = optimum_curvatures(
+            sample_cost(args.cost, g.n, np.random.default_rng(args.cost_seed)))
     report = spectral_report(g, args.alpha, hdiag)
     name = os.path.splitext(os.path.basename(args.infile))[0]
-    cl = global_clustering(g).global_mean
-    d = 2.0 * g.edge_count / g.n
-    print(graph_io.SCATTER_HEADER)
-    print(f"{name},{g.n},{d!r},{cl!r},{report.lambda2_laplacian!r},"
-          f"{report.rate!r}")
+    row = ScatterRow(name, g.n, 2.0 * g.edge_count / g.n,
+                     global_clustering(g).global_mean,
+                     report.lambda2_laplacian, report.rate)
+    print(graph_io.format_scatter_csv([row]), end="")
     return 0
 
 

@@ -211,6 +211,11 @@ def aggregate_optimum(model: CostModel) -> OptimumCertificate:
         residual=abs(model.aggregate_gradient(x)))
 
 
+def optimum_curvatures(model: CostModel) -> np.ndarray:
+    """Per-node curvatures at the minimizer of the aggregate cost."""
+    return model.hessian_nodes(np.full(model.n, aggregate_optimum(model).x_star))
+
+
 def model_to_dict(model: CostModel) -> dict:
     """JSON-ready representation so campaigns are replayable."""
     if isinstance(model, MlLossModel):

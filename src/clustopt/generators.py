@@ -488,6 +488,6 @@ def rewire_increase_clustering(
         swaps_rolled_back=rolled_back,
         initial_c=initial_c,
         final_c=c,
-        reached_target=c >= target,
+        reached_target=bool(c >= target),
     )
     return out, report

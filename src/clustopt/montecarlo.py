@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostModel, aggregate_optimum, sample_cost
+from .costs import CostModel, optimum_curvatures, sample_cost
 from .dynamics import SimConfig, TrialTrace, initialize, run, stability_max_step
 from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
 from .generators import BaParams, HkParams, _is_int, generate_ba, generate_hk
@@ -508,9 +508,7 @@ def scatter_report(graphs: list[tuple[str, Graph]], alpha: float,
             continue
         rng = np.random.default_rng(trial_seed(base_seed, idx, 0))
         model = sample_cost(cost_spec.family, g.n, rng, cost_spec.m)
-        cert = aggregate_optimum(model)
-        hdiag = model.hessian_nodes(np.full(g.n, cert.x_star))
-        report = spectral_report(g, alpha, hdiag)
+        report = spectral_report(g, alpha, optimum_curvatures(model))
         rows.append(ScatterRow(label, g.n, d, cl,
                                report.lambda2_laplacian, report.rate))
     return rows

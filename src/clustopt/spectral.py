@@ -20,13 +20,12 @@ the consensus direction (x = ones, y = 0).  The reported rate is the negated
 largest real part over the non-structural spectrum: positive means the
 optimality gap decays exponentially, larger means faster.
 
-The rate has two paths.  Up to order ``RATE_DENSE_LIMIT`` the dense 2n x 2n
-Jacobian is deflated by a Householder similarity and solved in full.  Above
-it, implicitly restarted Arnoldi (ARPACK; Lehoucq, Sorensen & Yang, ARPACK
-Users' Guide, SIAM, 1998) finds the rightmost eigenvalues of a matrix-free
-operator, two sparse Laplacian products per application, with the
-structural zeros moved far left by a Wielandt shift (see
-:func:`convergence_rate`).
+Both measures set the structural zeros aside by the connected components:
+the algebraic connectivity is the smallest Laplacian eigenvalue orthogonal
+to the component indicators, and the rate is read off a Jacobian whose
+structural zeros a rank-one shift per component has moved far left (see
+:func:`convergence_rate`).  Each has a dense solver for small orders and a
+sparse one above them.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .errors import (
     NotSymmetricError,
     SizeLimitError,
 )
-from .graphs import Graph, laplacian, laplacian_sparse
+from .graphs import Graph, is_connected, laplacian_sparse
 
 # Order up to which lambda2 uses the dense solver.  A speed crossover, not a
 # correctness limit: LOBPCG overtakes eigvalsh at about n = 700 on
@@ -147,55 +146,68 @@ def eig_general(m: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
 def lambda2_laplacian(g: Graph) -> float:
     """Algebraic connectivity of the weighted Laplacian.
 
-    Dense solve up to order ``DENSE_LIMIT``.  Above it, one LOBPCG solve
-    (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) finds the smallest
-    eigenvalue orthogonal to the constant vector, with a Jacobi
+    0.0 for a graph of at most one node and for a disconnected graph.
+    Otherwise a dense solve up to order ``DENSE_LIMIT``; above it, one
+    LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) for the
+    smallest eigenvalue orthogonal to the constant vector, with a Jacobi
     preconditioner and a start vector from a fixed seed, so reruns give the
     same bits.  ``ConvergenceError`` is raised when its residual is still
     above ``LOBPCG_TOL`` times twice the largest weighted degree after
     ``LOBPCG_ITERS_PER_NODE * n`` iterations.  Values indistinguishable
     from the structural zero are clamped to exactly 0.
     """
-    if g.n <= 1:
+    if g.n <= 1 or not is_connected(g):
         return 0.0
-    if g.n <= DENSE_LIMIT:
-        vals = eig_symmetric(laplacian(g))
-        lam2 = float(vals[1])
-        scale = float(vals[-1]) if vals[-1] > 0 else 1.0
-    else:
-        lam2, scale = _lambda2_lobpcg(laplacian_sparse(g))
+    lam2, scale = _laplacian_gap(laplacian_sparse(g))
     if abs(lam2) <= 1e-12 * max(1.0, scale):
         return 0.0
     return lam2
 
 
-def _lambda2_lobpcg(lap: sp.csr_matrix) -> tuple[float, float]:
-    """LOBPCG lambda2 of a sparse Laplacian, with its Gershgorin scale."""
+def _laplacian_gap(lap: np.ndarray | sp.spmatrix) -> tuple[float, float]:
+    """Smallest Laplacian eigenvalue orthogonal to the component indicators,
+    with a bound on the largest, the scale of its rounding.
+
+    The solvers of :func:`lambda2_laplacian`; LOBPCG takes the normalized
+    indicators as its constraints.  ``AllZeroError`` when every node is its
+    own component.
+    """
     n = lap.shape[0]
+    ncomp, labels = connected_components(lap, directed=False)
+    sizes = np.bincount(labels)
+    if ncomp == n:
+        raise AllZeroError("all Laplacian eigenvalues are structurally zero")
+    if n <= DENSE_LIMIT:
+        vals = eig_symmetric(_dense(lap))
+        return float(vals[ncomp]), float(vals[-1])
+    if sizes.min() == 1:  # isolated nodes add only exact zeros
+        keep = sizes[labels] > 1
+        return _laplacian_gap(lap[keep][:, keep])
     deg = lap.diagonal()
-    scale = 2.0 * float(deg.max()) or 1.0  # an edgeless graph has L = 0
+    scale = 2.0 * float(deg.max())
     tol = LOBPCG_TOL * scale
     maxiter = math.ceil(LOBPCG_ITERS_PER_NODE * n)
-    precond = sp.diags(1.0 / np.where(deg > 0, deg, 1.0))  # isolated: 1
+    precond = sp.diags(1.0 / deg)
     x0 = np.random.default_rng(0).standard_normal((n, 1))
-    ones = np.full((n, 1), 1.0 / math.sqrt(n))
+    indicators = np.zeros((n, ncomp))
+    indicators[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
     with warnings.catch_warnings():
         # lobpcg warns and returns its best iterate when it stops short;
         # the residual check below decides instead
         warnings.simplefilter("ignore", UserWarning)
         try:
-            vals, vecs = spla.lobpcg(lap, x0, M=precond, Y=ones, tol=tol,
-                                     maxiter=maxiter, largest=False)
+            vals, vecs = spla.lobpcg(lap, x0, M=precond, Y=indicators,
+                                     tol=tol, maxiter=maxiter, largest=False)
         except ValueError as exc:  # its final Rayleigh-Ritz eigh failed
             raise ConvergenceError(f"LOBPCG failed: {exc}") from exc
-    lam2 = float(vals[0])
+    gap = float(vals[0])
     x = vecs[:, 0]
-    resid = float(np.linalg.norm(lap @ x - lam2 * x) / np.linalg.norm(x))
+    resid = float(np.linalg.norm(lap @ x - gap * x) / np.linalg.norm(x))
     if not resid <= tol:
         raise ConvergenceError(
             f"LOBPCG residual {resid:.3g} above {tol:.3g} "
             f"after {maxiter} iterations")
-    return lam2, scale
+    return gap, scale
 
 
 def build_jacobian(spec: JacobianSpec) -> np.ndarray:
@@ -224,26 +236,25 @@ def default_zero_tol(lap: np.ndarray | sp.spmatrix) -> float:
 def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float:
     """Negated largest real part of the non-structural Jacobian spectrum.
 
-    Each connected component c contributes an exact null vector
-    ``v_c = (1_c, 0)`` of the Jacobian for every curvature choice, with the
-    left null vector ``w_c = (-h_c, 1_c)``; eigenvalues with |Re| below
-    ``zero_tol`` are discarded as structural.  The rate takes one of two
-    paths:
+    Each connected component c gives the Jacobian J an exact null vector
+    ``v_c = (1_c, 0)`` for any curvatures.  With ``u_c = (1_c / |c|, 0)``,
+    so ``u_c^T v_c = 1``, the matrix ``J + sigma * sum_c v_c u_c^T`` keeps
+    the rest of J's spectrum and has ``sigma`` in place of these zeros
+    (Brauer 1952; Saad, Numerical Methods for Large Eigenvalue Problems,
+    section 4.2).  ``sigma`` lies left of the infinity-norm bound on the
+    spectrum; the shift adds ``sigma`` times the component mean of x to x.
+    Eigenvalues with |Re| below ``zero_tol`` are still discarded as
+    structural: where a component's curvatures sum to zero its zero is
+    defective, and the shift moves one of the pair.  Two solvers:
 
-    * Dense, up to order ``RATE_DENSE_LIMIT``: the consensus direction is
-      deflated by a Householder similarity before a full nonsymmetric
-      eigensolve, so its numerical shadow cannot contaminate the slow modes.
-    * Matrix-free, above it: ARPACK finds the ``ARNOLDI_K`` eigenvalues of
-      largest real part of ``J + sigma * sum_c v_c w_c^T / (w_c^T v_c)``,
-      from a start vector of a fixed seed, so reruns give the same bits.
-      This rank-one Wielandt shift per component keeps every other
-      eigenvalue of J and moves each structural zero to ``sigma``, which
-      lies left of the infinity-norm bound on the spectrum; a projection
-      ``P J P`` would not, since it equals J.  ``w_c^T v_c = -sum(h_c)``, so
-      where a component's curvatures sum to zero (relative 1e-12; mlloss
-      curvatures can be negative) the zero is defective and the dense
-      path runs instead.  ``ConvergenceError`` is raised when ARPACK has
-      not converged after ``ARNOLDI_RESTARTS_PER_NODE * n`` restarts.
+    * Dense, up to order ``RATE_DENSE_LIMIT``: every eigenvalue of the
+      shifted Jacobian.
+    * Matrix-free, above it: ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users'
+      Guide, SIAM, 1998) finds the ``ARNOLDI_K`` eigenvalues of largest real
+      part of the shifted operator, two sparse Laplacian products per
+      application, from a start vector of a fixed seed, so reruns give the
+      same bits.  ``ConvergenceError`` is raised when ARPACK has not
+      converged after ``ARNOLDI_RESTARTS_PER_NODE * n`` restarts.
 
     The limit is a measured speed crossover.  Median CPU over eight BA and
     HK graphs, both cost families and alpha in {1e-3, 1}, dense against
@@ -263,9 +274,10 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
     rightmost-eigenvalue search resolves it to its relative tolerance.
 
     With all curvatures zero the spectrum is that of the negated Laplacian
-    doubled, so the symmetric solver is used directly and the rate equals
-    the algebraic connectivity.  ``SizeLimitError`` is raised, before any
-    allocation, when the Jacobian order ``2n - 1`` exceeds
+    doubled, and the rate is the Laplacian gap that :func:`lambda2_laplacian`
+    computes, without clamping; its structural zeros are the component
+    indicators, so ``zero_tol`` plays no part.  Otherwise ``SizeLimitError``
+    is raised, before any allocation, when the Jacobian order ``2n`` exceeds
     ``DEFAULT_SIZE_CAP``.
     """
     lap = spec.laplacian
@@ -276,67 +288,49 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
 
     h = spec.hessian_diag
     if not h.any():
-        vals = eig_symmetric(_dense(lap))
-        keep = vals[np.abs(vals) >= zero_tol]
-        if keep.size == 0:
-            raise AllZeroError("all Jacobian eigenvalues are structurally zero")
-        return float(keep.min())
+        return _laplacian_gap(lap)[0]
 
     n = lap.shape[0]
-    if 2 * n - 1 > DEFAULT_SIZE_CAP:
+    if 2 * n > DEFAULT_SIZE_CAP:
         raise SizeLimitError(
-            f"Jacobian order {2 * n - 1} exceeds cap {DEFAULT_SIZE_CAP}")
-    vals = None
+            f"Jacobian order {2 * n} exceeds cap {DEFAULT_SIZE_CAP}")
+    labels, shift = _consensus_shift(lap, spec.alpha, h)
     if n > RATE_DENSE_LIMIT:
-        vals = _rightmost_arnoldi(sp.csr_matrix(lap), spec.alpha, h)
-    if vals is None:
-        vals = _deflated_spectrum_dense(spec)
+        vals = _rightmost_arnoldi(sp.csr_matrix(lap), spec.alpha, h,
+                                  labels, shift)
+    else:
+        jac = build_jacobian(spec)
+        jac[:n, :n] += (labels[:, None] == labels) * shift[labels]
+        vals = eig_general(jac)
     keep = vals[np.abs(vals.real) >= zero_tol]
     if keep.size == 0:
         raise AllZeroError("all Jacobian eigenvalues are structurally zero")
     return float(-keep.real.max())
 
 
-def _deflated_spectrum_dense(spec: JacobianSpec) -> np.ndarray:
-    """Jacobian spectrum without the consensus direction (Householder)."""
-    jac = build_jacobian(spec)
-    n2 = jac.shape[0]
-    u = np.zeros(n2)
-    u[: n2 // 2] = 1.0 / np.sqrt(n2 // 2)
-    v = u.copy()
-    v[0] -= 1.0  # reflector swapping the consensus direction with e0
-    vnorm = np.linalg.norm(v)
-    if vnorm > 0:  # n == 1 already has the null vector on e0
-        v /= vnorm
-        jac -= 2.0 * np.outer(v, v @ jac)
-        jac -= 2.0 * np.outer(jac @ v, v)
-    return eig_general(jac[1:, 1:])
-
-
-def _rightmost_arnoldi(lap: sp.csr_matrix, alpha: float,
-                       h: np.ndarray) -> np.ndarray | None:
-    """Rightmost Jacobian eigenvalues with the structural zeros shifted.
-
-    None when some component's curvatures sum to zero, where the shift is
-    undefined.
-    """
-    n = lap.shape[0]
+def _consensus_shift(lap: np.ndarray | sp.spmatrix, alpha: float,
+                     h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels, and ``sigma / |c|``, which the shift adds to every
+    x-x entry of J within component c."""
     ncomp, labels = connected_components(lap, directed=False)
-    hsum = np.bincount(labels, weights=h, minlength=ncomp)
-    habs = np.bincount(labels, weights=np.abs(h), minlength=ncomp)
-    if np.any(np.abs(hsum) <= 1e-12 * habs):
-        return None
     # below -||J||_inf (a row-sum bound), so left of every eigenvalue of J
     sigma = -1.0 - (2.0 * float(lap.diagonal().max()) + alpha) * (
         1.0 + float(np.abs(h).max()))
-    shift = sigma / -hsum  # sigma / (w_c^T v_c) per component
+    return labels, sigma / np.bincount(labels, minlength=ncomp)
+
+
+def _rightmost_arnoldi(lap: sp.csr_matrix, alpha: float, h: np.ndarray,
+                       labels: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Rightmost eigenvalues of the shifted Jacobian, matrix-free."""
+    n = lap.shape[0]
+    ncomp = shift.shape[0]
     ah = alpha * h
 
     def matvec(z: np.ndarray) -> np.ndarray:
         x, y = z[:n].ravel(), z[n:].ravel()
         lx = lap @ x
-        wz = np.bincount(labels, weights=y - h * x, minlength=ncomp)
-        return np.concatenate((-lx - alpha * y + (shift * wz)[labels],
+        xsum = np.bincount(labels, weights=x, minlength=ncomp)
+        return np.concatenate((-lx - alpha * y + (shift * xsum)[labels],
                                -h * lx - lap @ y - ah * y))
 
     op = spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=np.float64)

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's computational paths:
 clustering is rechecked by enumerating node triples, symmetric eigenvalues
-by cyclic Jacobi rotations, derivatives by central finite differences,
-the convergence rate by a full dense eigensolve of the undeflated Jacobian,
+by cyclic Jacobi rotations, derivatives by central finite differences, the
+convergence rate by a dense eigensolve of the Householder-deflated Jacobian,
 and rewiring by one proposal at a time on Python sets.
 """
 
@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from clustopt.costs import aggregate_optimum, sample_cost
+from clustopt.costs import optimum_curvatures, sample_cost
 from clustopt.errors import DisconnectedError
 from clustopt.generators import (
     BaParams,
@@ -117,14 +119,34 @@ def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100,
 
 def dense_jacobian_rate(lap: np.ndarray, alpha: float, h: np.ndarray,
                         zero_tol: float) -> float:
-    """Rate measure from every eigenvalue of the undeflated 2n x 2n Jacobian.
+    """Rate measure from a dense eigensolve of the deflated 2n x 2n Jacobian.
 
-    Eigenvalues with |Re| below ``zero_tol`` are dropped as structural.
+    For each connected component c, a Householder similarity maps the
+    consensus direction ``(1_c, 0) / sqrt(|c|)`` to a unit vector ``e_k``,
+    whose row and column are then dropped: that removes one structural zero
+    per component exactly.  Where a component's curvatures sum to zero its
+    zero is defective, and the undeflated solve would split the pair by
+    about the square root of the rounding; deflated, the partner is a
+    simple zero.  Eigenvalues with |Re| below ``zero_tol`` are dropped as
+    structural.
     """
     n = lap.shape[0]
     jac = np.block([[-lap, -alpha * np.eye(n)],
                     [-h[:, None] * lap, -lap - alpha * np.diag(h)]])
-    vals = np.linalg.eigvals(jac)
+    _, labels = connected_components(sp.csr_matrix(lap), directed=False)
+    firsts = np.unique(labels, return_index=True)[1]
+    for k in firsts:
+        members = labels == labels[k]
+        u = np.zeros(2 * n)
+        u[:n][members] = 1.0 / math.sqrt(members.sum())
+        u[k] -= 1.0
+        norm = np.linalg.norm(u)
+        if norm > 0:  # a single node's direction is e_k already
+            u /= norm
+            jac -= 2.0 * np.outer(u, u @ jac)
+            jac -= 2.0 * np.outer(jac @ u, u)
+    rest = np.setdiff1d(np.arange(2 * n), firsts)
+    vals = np.linalg.eigvals(jac[np.ix_(rest, rest)])
     return float(-vals.real[np.abs(vals.real) >= zero_tol].max())
 
 
@@ -138,8 +160,7 @@ def weighted_scale_free(model: str, n: int, rng: np.random.Generator) -> Graph:
 def curvatures_at_optimum(family: str, n: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Per-node curvatures at the aggregate optimum, as scatter_report takes."""
-    model = sample_cost(family, n, rng, 20)
-    return model.hessian_nodes(np.full(n, aggregate_optimum(model).x_star))
+    return optimum_curvatures(sample_cost(family, n, rng, 20))
 
 
 def central_difference(f, x: float, step: float = 1e-5) -> float:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,15 @@ class TestRewire:
             np.random.default_rng(0))
         assert out == g
         assert report.swaps_attempted == 0
+
+    @pytest.mark.parametrize("target", [0.01, 0.9])
+    def test_numpy_target_report_is_json(self, target):
+        g = random_connected_graph(np.random.default_rng(2), 20)
+        _, report = rewire_increase_clustering(
+            g, RewireParams(np.float64(target), max_swaps=50),
+            np.random.default_rng(0))
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert doc["reached_target"] is (target == 0.01)
 
     def test_disconnected_input_rejected(self):
         g = build_graph([(0, 1, 1), (2, 3, 1)], n=4)

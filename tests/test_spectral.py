@@ -314,21 +314,20 @@ class TestMatrixFreeRate:
         g = Graph(g.n + 2 * spectral.ARNOLDI_K, g.edges, g.weights)
         self._check(g, 1.0, rng.uniform(0.5, 3.0, g.n))
 
-    def test_zero_curvature_sum_takes_dense_path(self, monkeypatch):
+    def test_zero_curvature_sum_runs_arpack(self, monkeypatch):
+        # the zero of a component whose curvatures sum to zero is defective;
+        # the shift by the component mean of x is defined all the same
         rng = np.random.default_rng(14)
         g = weighted_scale_free("ba", RATE_DENSE_LIMIT + 50, rng)
         h = rng.uniform(-1.0, 1.0, g.n)
         h -= h.mean()
         assert h.any() and abs(h.sum()) <= 1e-12 * np.abs(h).sum()
-        spec = JacobianSpec(laplacian_sparse(g), 1e-3, h)
 
-        def no_arpack(*args, **kwargs):
-            raise AssertionError("ARPACK ran with a vanishing curvature sum")
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense solve above RATE_DENSE_LIMIT")
 
-        monkeypatch.setattr(spectral.spla, "eigs", no_arpack)
-        rate = convergence_rate(spec)
-        monkeypatch.setattr(spectral, "RATE_DENSE_LIMIT", g.n)
-        assert convergence_rate(spec) == rate
+        monkeypatch.setattr(spectral, "eig_general", no_dense)
+        self._check(g, 1e-3, h)
 
     def test_reruns_are_bit_identical(self):
         rng = np.random.default_rng(15)
@@ -348,7 +347,7 @@ class TestMatrixFreeRate:
             convergence_rate(JacobianSpec(laplacian_sparse(g), 1.0, h))
 
     def test_size_cap_checked_before_allocation(self):
-        n = 10_001  # Jacobian order 2n - 1 = 20001 > DEFAULT_SIZE_CAP
+        n = 10_001  # Jacobian order 2n = 20002 > DEFAULT_SIZE_CAP
         e = np.column_stack((np.arange(n - 1), np.arange(1, n)))
         g = Graph(n, e, np.ones(n - 1))
         spec = JacobianSpec(laplacian_sparse(g), 1e-3, np.ones(n))
@@ -356,6 +355,39 @@ class TestMatrixFreeRate:
         with pytest.raises(SizeLimitError):
             convergence_rate(spec)
         assert time.process_time() - t0 < 0.5
+
+
+@pytest.mark.filterwarnings("error")  # no solver warning may escape
+class TestZeroCurvatureRate:
+    """With all curvatures zero the rate is the Laplacian gap; above
+    DENSE_LIMIT it comes from LOBPCG, never from a dense solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense(self, monkeypatch):
+        def raise_(*args, **kwargs):
+            raise AssertionError("dense solve above DENSE_LIMIT")
+
+        monkeypatch.setattr(spectral, "eig_symmetric", raise_)
+
+    def test_connected_equals_lambda2(self):
+        rng = np.random.default_rng(30)
+        g = weighted_scale_free("hk", DENSE_LIMIT + 100, rng)
+        spec = JacobianSpec(laplacian_sparse(g), 1.0, np.zeros(g.n))
+        assert convergence_rate(spec) == lambda2_laplacian(g)
+
+    def test_two_components_match_eigvalsh(self):
+        # three isolated nodes as well: the gap skips every structural zero
+        rng = np.random.default_rng(31)
+        half = DENSE_LIMIT // 2 + 50
+        a = weighted_scale_free("ba", half, rng)
+        b = weighted_scale_free("hk", half, rng)
+        g = Graph(2 * half + 3, np.vstack([a.edges, b.edges + half]),
+                  np.concatenate([a.weights, b.weights]))
+        lap = laplacian_sparse(g)
+        rate = convergence_rate(JacobianSpec(lap, 1.0, np.zeros(g.n)))
+        vals = np.linalg.eigvalsh(lap.toarray())
+        assert abs(rate - vals[5]) <= 1e-8 * vals[-1]
+        assert vals[4] <= 1e-12 * vals[-1]
 
 
 class TestSpectralReport:
