@@ -14,6 +14,8 @@ integrates them with half that bound, so every label is integrated with one
 common step size.  Only the first pass grows graphs: it keeps each trial's
 edges and generator state, and the second pass rebuilds the trial from
 them, so every trial's graph is grown once whether or not ``h`` is set.
+That pass keeps a label's Laplacians, cost models and initial states and
+integrates them as one stacked system.
 
 The campaign config document is read and echoed here, next to
 :class:`McConfig`; :mod:`clustopt.graph_io` only writes the results.
@@ -29,12 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostModel, optimum_curvatures, sample_cost
-from .dynamics import SimConfig, TrialTrace, initialize, run, stability_max_step
+from .costs import CostModel, aggregate_optimum, optimum_curvatures, sample_cost
+from .dynamics import SimConfig, TrialTrace, initialize, run_trials, stability_max_step
 from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
 from .generators import BaParams, HkParams, _is_int, generate_ba, generate_hk
 from .graph_io import read_graph
-from .graphs import Graph, assign_random_weights, global_clustering, is_connected
+from .graphs import Graph, assign_random_weights, global_clustering, is_connected, \
+    laplacian_sparse
 from .spectral import lambda2_laplacian, spectral_report
 
 logger = logging.getLogger(__name__)
@@ -394,8 +397,9 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
     """Run the full campaign and aggregate per-label statistics.
 
     Trials with non-finite states are excluded from every mean and counted
-    as diverged; domain errors go to the per-label error ledger.  A label
-    where no trial succeeds aborts the campaign.
+    as diverged; domain errors, also from a trial's metrics or optimum, go
+    to the per-label error ledger.  A label where no trial succeeds aborts
+    the campaign.  A label's trials integrate in one ``run_trials`` call.
 
     Each trial's graph is grown once.  With ``sim.h`` unset, the step-size
     pass keeps each grown trial's edges as int32 (8 bytes per edge per
@@ -418,11 +422,8 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
         grown = kept.get(topo.label, [None] * cfg.trials)
         seeds: list[int] = []
         errors: list[tuple[int, str, str]] = []
-        traces: list[TrialTrace] = []
-        clusterings: list[float] = []
-        avg_degrees: list[float] = []
-        lambda2s: list[float] = []
-        diverged = 0
+        # the only holder of the label's Laplacians: the next label frees them
+        built = []  # (trial, Laplacian, model, state, optimum, metrics)
         for ti in range(cfg.trials):
             seeds.append(trial_seed(cfg.base_seed, li, ti))
             record = grown[ti]
@@ -431,21 +432,28 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
                     raise record  # the step-size pass met it; ledger it once
                 g, rng = _trial_graph(cfg, topo, li, ti, file_cache, record)
                 wg, model, state = _trial_inputs(cfg, g, rng, ti, shared)
-                trace = run(wg, model, sim, rng, initial_state=state)
+                built.append((ti, laplacian_sparse(wg), model, state,
+                              aggregate_optimum(model),
+                              (global_clustering(wg).global_mean,
+                               2.0 * wg.edge_count / wg.n,
+                               lambda2_laplacian(wg))))
             except ClustoptError as exc:
                 errors.append((ti, exc.code, str(exc)))
-                continue
+        if not built:
+            raise _all_failed(cfg, topo)
+        traces: list[TrialTrace] = []
+        kept_metrics = []
+        for (ti, *_, metric), trace in zip(
+                built, run_trials(*zip(*(b[1:5] for b in built)), sim)):
             if trace.diverged:
-                diverged += 1
                 logger.warning("label %s trial %d diverged at h=%g",
                                topo.label, ti, h)
                 continue
             traces.append(trace)
-            clusterings.append(global_clustering(wg).global_mean)
-            avg_degrees.append(2.0 * wg.edge_count / wg.n)
-            lambda2s.append(lambda2_laplacian(wg))
+            kept_metrics.append(metric)
         if not traces:
             raise _all_failed(cfg, topo)
+        clusterings, avg_degrees, lambda2s = zip(*kept_metrics)
         gap_matrix = np.vstack([t.gap for t in traces])
         final = gap_matrix[:, -1]
         labels.append(LabelSummary(
@@ -463,7 +471,7 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
             mean_avg_degree=float(np.mean(avg_degrees)),
             mean_lambda2=float(np.mean(lambda2s)),
             trial_count=len(traces),
-            diverged_count=diverged,
+            diverged_count=len(built) - len(traces),
             seeds=seeds,
             errors=errors,
         ))

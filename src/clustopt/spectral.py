@@ -158,10 +158,11 @@ def lambda2_laplacian(g: Graph) -> float:
     """
     if g.n <= 1 or not is_connected(g):
         return 0.0
-    lam2, scale = _laplacian_gap(laplacian_sparse(g))
-    if abs(lam2) <= 1e-12 * max(1.0, scale):
-        return 0.0
-    return lam2
+    return _clamped(*_laplacian_gap(laplacian_sparse(g)))
+
+
+def _clamped(lam2: float, scale: float) -> float:
+    return 0.0 if abs(lam2) <= 1e-12 * max(1.0, scale) else lam2
 
 
 def _laplacian_gap(lap: np.ndarray | sp.spmatrix) -> tuple[float, float]:
@@ -346,12 +347,14 @@ def _rightmost_arnoldi(lap: sp.csr_matrix, alpha: float, h: np.ndarray,
 
 def spectral_report(g: Graph, alpha: float,
                     hessian_diag: np.ndarray | None = None) -> SpectralReport:
-    """Bundle algebraic connectivity and rate measure for one graph."""
-    lam2 = lambda2_laplacian(g)
+    """:func:`lambda2_laplacian` and :func:`convergence_rate` of one graph,
+    with one Laplacian gap solve: without curvatures the rate is that gap."""
+    lap = laplacian_sparse(g)
+    gap = _laplacian_gap(lap) if g.n > 1 and is_connected(g) else None
     h = (np.zeros(g.n) if hessian_diag is None
          else np.asarray(hessian_diag, dtype=np.float64))
-    spec = JacobianSpec(laplacian=laplacian_sparse(g), alpha=alpha,
-                        hessian_diag=h)
-    return SpectralReport(lambda2_laplacian=lam2,
-                          rate=convergence_rate(spec),
-                          alpha=alpha, n=g.n)
+    spec = JacobianSpec(laplacian=lap, alpha=alpha, hessian_diag=h)
+    rate = (convergence_rate(spec) if spec.hessian_diag.any()
+            else (gap or _laplacian_gap(lap))[0])
+    return SpectralReport(lambda2_laplacian=_clamped(*gap) if gap else 0.0,
+                          rate=rate, alpha=alpha, n=g.n)

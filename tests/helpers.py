@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's computational paths:
 clustering is rechecked by enumerating node triples, symmetric eigenvalues
 by cyclic Jacobi rotations, derivatives by central finite differences, the
 convergence rate by a dense eigensolve of the Householder-deflated Jacobian,
-and rewiring by one proposal at a time on Python sets.
+rewiring by one proposal at a time on Python sets, and the dynamics by one
+trial at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from clustopt.costs import optimum_curvatures, sample_cost
+from clustopt.costs import CostModel, aggregate_optimum, optimum_curvatures, sample_cost
+from clustopt.dynamics import (
+    NodeState,
+    SimConfig,
+    TrialTrace,
+    _step,
+    _step_size,
+    initialize,
+)
 from clustopt.errors import DisconnectedError
 from clustopt.generators import (
     BaParams,
@@ -30,6 +39,7 @@ from clustopt.graphs import (
     assign_random_weights,
     global_clustering,
     is_connected,
+    laplacian_sparse,
 )
 
 
@@ -317,3 +327,79 @@ def reference_rewire(
         reached_target=c >= params.target_clustering,
     )
     return out, report
+
+
+def reference_run(g: Graph, model: CostModel, cfg: SimConfig,
+                  rng: np.random.Generator,
+                  initial_state: NodeState | None = None) -> TrialTrace:
+    """One-trial oracle for :func:`clustopt.dynamics.run_trials`.
+
+    One trial at a time, with scalar sums and Python-list records.  The
+    stacked integrator must match every field of its trace bit for bit.
+    """
+    if initial_state is None:
+        state = initialize(g, model, cfg, rng)
+    else:
+        cfg.validate()
+        if not is_connected(g):
+            raise DisconnectedError("dynamics require a connected graph")
+        state = initial_state
+    lap = laplacian_sparse(g)
+    h = _step_size(g, model, state, cfg)
+    cert = aggregate_optimum(model)
+
+    x, y = state.x, state.y
+    gx = model.gradient_nodes(x)
+    steps_rec: list[int] = []
+    gap_rec: list[float] = []
+    lyap_rec: list[float] = []
+    cons_rec: list[float] = []
+    track_rec: list[float] = []
+
+    gsum = float(gx.sum())
+    max_resid = abs(float(y.sum()) - gsum)
+    max_gsum = abs(gsum)
+    diverged = False
+
+    def record(k: int) -> float:
+        xbar = float(x.mean())
+        gap = model.aggregate_value(xbar) - cert.f_star
+        steps_rec.append(k)
+        gap_rec.append(gap)
+        lyap_rec.append(0.5 * (float(((x - cert.x_star) ** 2).sum())
+                               + float((y ** 2).sum())))
+        cons_rec.append(float(((x - xbar) ** 2).sum()))
+        track_rec.append(abs(float(y.sum()) - float(gx.sum())))
+        return gap
+
+    gap0 = record(0)
+    stop = cfg.gap_tolerance > 0 and gap0 <= cfg.gap_tolerance
+    if not stop:
+        for k in range(1, cfg.steps + 1):
+            x, y, gx, finite = _step(lap, model, x, y, gx, cfg.alpha, h)
+            if not finite:
+                diverged = True
+                break
+            gsum = float(gx.sum())
+            resid = abs(float(y.sum()) - gsum)
+            if resid > max_resid:
+                max_resid = resid
+            if abs(gsum) > max_gsum:
+                max_gsum = abs(gsum)
+            if k % cfg.record_stride == 0 or k == cfg.steps:
+                gap = record(k)
+                if cfg.gap_tolerance > 0 and gap <= cfg.gap_tolerance:
+                    break
+
+    return TrialTrace(
+        recorded_steps=np.array(steps_rec, dtype=np.int64),
+        gap=np.array(gap_rec),
+        lyapunov=np.array(lyap_rec),
+        consensus_residual=np.array(cons_rec),
+        tracking_residual=np.array(track_rec),
+        diverged=diverged,
+        h=h,
+        max_tracking_residual=max_resid,
+        max_abs_gradient_sum=max_gsum,
+        final_state=NodeState(x=x, y=y),
+    )

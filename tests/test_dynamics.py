@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from clustopt.costs import QuarticModel, sample_quartic
+from dataclasses import replace
+
+from clustopt.costs import (
+    QuarticModel,
+    aggregate_optimum,
+    sample_cost,
+    sample_quartic,
+)
 from clustopt.dynamics import (
     NodeState,
     SimConfig,
     euler_step,
     initialize,
     run,
+    run_trials,
     stability_max_step,
 )
-from clustopt.errors import DisconnectedError, InvalidParamsError
-from clustopt.graphs import build_graph, complete_graph, laplacian
+from clustopt.errors import DimensionMismatchError, DisconnectedError, InvalidParamsError
+from clustopt.graphs import build_graph, complete_graph, laplacian, laplacian_sparse
 from clustopt.spectral import JacobianSpec, convergence_rate
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_run, weighted_scale_free
 
 
 def path2():
@@ -243,3 +251,113 @@ class TestLyapunovDecayMatchesSpectralRate:
         times = trace.recorded_steps[window] * trace.h
         slope = np.polyfit(times, np.log(v[window]), 1)[0]
         assert slope == pytest.approx(-2.0 * rate, rel=0.3)
+
+
+def assert_same_trace(got, want):
+    """Every field of two traces, bit for bit and of the same type."""
+    for name in ("recorded_steps", "gap", "lyapunov", "consensus_residual",
+                 "tracking_residual"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("diverged", "h", "max_tracking_residual",
+                 "max_abs_gradient_sum"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and (a == b or a != a and b != b), name
+    for name in ("x", "y"):
+        a, b = getattr(got.final_state, name), getattr(want.final_state, name)
+        assert np.array_equal(a, b, equal_nan=True), name
+
+
+def scale_free_trials(family, topo, count, seed, n=60):
+    """Weighted BA or HK graphs, cost models, initial states and a config
+    whose h is half the most conservative bound over the trials."""
+    rng = np.random.default_rng(seed)
+    graphs = [weighted_scale_free(topo, n, rng) for _ in range(count)]
+    models = [sample_cost(family, n, rng, 5) for _ in range(count)]
+    cfg = SimConfig(alpha=1.0, steps=300, record_stride=7)
+    states = [initialize(g, m, cfg, rng) for g, m in zip(graphs, models)]
+    h = 0.5 * min(stability_max_step(g, cfg.alpha, m, s)
+                  for g, m, s in zip(graphs, models, states))
+    return graphs, models, states, replace(cfg, h=h)
+
+
+def stacked(graphs, models, states, cfg):
+    return run_trials([laplacian_sparse(g) for g in graphs], models, states,
+                      [aggregate_optimum(m) for m in models], cfg)
+
+
+class TestRunTrials:
+    @pytest.mark.parametrize("family", ["quartic", "mlloss"])
+    @pytest.mark.parametrize("topo", ["ba", "hk"])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_matches_one_trial_at_a_time(self, family, topo, count):
+        graphs, models, states, cfg = scale_free_trials(
+            family, topo, count, seed=count + 10 * len(family) + len(topo))
+        blowup = count == 7 and family == "quartic"
+        if blowup:  # trial 3 diverges; the other six must not notice
+            models[3] = QuarticModel(a=models[3].a * 1e4, b=models[3].b)
+            states[3] = NodeState(states[3].x,
+                                  models[3].gradient_nodes(states[3].x))
+        traces = stacked(graphs, models, states, cfg)
+        assert [t.diverged for t in traces] == [blowup and i == 3
+                                                for i in range(count)]
+        for g, m, s, got in zip(graphs, models, states, traces):
+            assert_same_trace(got, reference_run(g, m, cfg, None,
+                                                 initial_state=s))
+
+    @pytest.mark.parametrize("family", ["quartic", "mlloss"])
+    @pytest.mark.parametrize("stride", [10, 130])  # below and above n
+    def test_run_matches_reference(self, family, stride):
+        rng = np.random.default_rng(5)
+        g = weighted_scale_free("hk", 80, rng)
+        model = sample_cost(family, 80, rng, 5)
+        cfg = SimConfig(alpha=1.0, steps=500, record_stride=stride)
+        assert_same_trace(run(g, model, cfg, np.random.default_rng(3)),
+                          reference_run(g, model, cfg,
+                                        np.random.default_rng(3)))
+
+    def test_gap_tolerance_stops_each_trial_at_its_own_record(self):
+        graphs, models, states, cfg = scale_free_trials("quartic", "ba", 5, 4)
+        refs = [reference_run(g, m, cfg, None, initial_state=s)
+                for g, m, s in zip(graphs, models, states)]
+        # a tolerance between the trials' final gaps stops some early
+        tol = float(np.median([r.gap[-1] for r in refs]))
+        cfg = replace(cfg, gap_tolerance=tol)
+        traces = stacked(graphs, models, states, cfg)
+        stops = {int(t.recorded_steps[-1]) for t in traces}
+        assert len(stops) > 1 and cfg.steps in stops
+        for g, m, s, got in zip(graphs, models, states, traces):
+            assert_same_trace(got, reference_run(g, m, cfg, None,
+                                                 initial_state=s))
+
+    def test_one_wrong_size_trial_is_rejected(self):
+        graphs, models, states, cfg = scale_free_trials("quartic", "ba", 3, 1)
+        states[1] = NodeState(states[1].x[:-1], states[1].y[:-1])
+        with pytest.raises(DimensionMismatchError):
+            stacked(graphs, models, states, cfg)
+
+    def test_families_cannot_mix(self):
+        graphs, models, states, cfg = scale_free_trials("quartic", "ba", 2, 1)
+        models[1] = sample_cost("mlloss", 60, np.random.default_rng(0), 5)
+        with pytest.raises(DimensionMismatchError):
+            stacked(graphs, models, states, cfg)
+
+    def test_needs_a_step_size(self):
+        graphs, models, states, cfg = scale_free_trials("quartic", "ba", 1, 1)
+        with pytest.raises(InvalidParamsError):
+            stacked(graphs, models, states, replace(cfg, h=None))
+
+
+class TestRunInitialStateSizes:
+    """``run(initial_state=...)`` checks sizes like ``initialize`` does."""
+
+    @pytest.mark.parametrize("model_n, x_n, y_n", [(31, 30, 30), (30, 29, 29),
+                                                   (30, 30, 29)])
+    def test_mismatch_raises(self, model_n, x_n, y_n):
+        g = random_connected_graph(np.random.default_rng(0), 30)
+        model = sample_quartic(model_n, np.random.default_rng(1))
+        state = NodeState(x=np.zeros(x_n), y=np.zeros(y_n))
+        for h in (None, 1e-3):
+            with pytest.raises(DimensionMismatchError):
+                run(g, model, SimConfig(alpha=1.0, steps=5, h=h),
+                    np.random.default_rng(0), initial_state=state)

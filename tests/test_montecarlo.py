@@ -285,6 +285,71 @@ class TestOneGrowthPerTrial:
         assert derived.h >= unpatched_h
 
 
+class TestStackedIntegration:
+    """Each label's trials are integrated as one stacked system."""
+
+    def test_per_trial_gaps_match_one_trial_at_a_time(self):
+        from clustopt import montecarlo
+        from helpers import reference_run
+
+        # h sits between the per-trial stability thresholds: four of the
+        # eight trials diverge inside the stack
+        cfg = McConfig(
+            topologies=(TopologySpec(label="A", model="ba", n=30, links=2),
+                        TopologySpec(label="B", model="hk", n=30, links=2,
+                                     triad_links=1)),
+            cost_spec=CostSpec(family="quartic"),
+            sim=SimConfig(alpha=1.0, steps=800, record_stride=200, h=0.06),
+            trials=8,
+            base_seed=99,
+        )
+        summary = run_mc(cfg, keep_trial_gaps=True)
+        for topo, ls in zip(cfg.topologies, summary.labels):
+            li = montecarlo._label_rank(cfg, topo.label)
+            rows = []
+            for ti in range(cfg.trials):
+                g, rng = montecarlo._trial_graph(cfg, topo, li, ti, {})
+                wg, model, state = montecarlo._trial_inputs(
+                    cfg, g, rng, ti, None)
+                trace = reference_run(wg, model, cfg.sim, rng,
+                                      initial_state=state)
+                if not trace.diverged:
+                    rows.append(trace.gap)
+            assert ls.diverged_count == cfg.trials - len(rows)
+            assert np.array_equal(summary.per_trial_gaps[topo.label],
+                                  np.vstack(rows))
+        assert summary.labels[0].diverged_count == 4
+
+    @pytest.mark.parametrize("h", [None, 0.01])
+    def test_failed_optimum_is_ledgered_once(self, monkeypatch, h):
+        """Trial 1's aggregate optimum raises; the rest of each label still
+        integrates, to the same bits as without the failure."""
+        from clustopt import montecarlo
+        from clustopt.costs import sample_quartic
+        from clustopt.errors import BracketError
+
+        cfg = _with_h(small_config(base_seed=6, trials=3), h)
+        clean = run_mc(cfg, keep_trial_gaps=True)
+        bad = sample_quartic(40, np.random.default_rng(
+            trial_seed(6, montecarlo._SHARED_LABEL, 1))).a[0]
+        aggregate_optimum = montecarlo.aggregate_optimum
+
+        def failing_optimum(model):
+            if model.a[0] == bad:
+                raise BracketError("trial 1 has no bracket")
+            return aggregate_optimum(model)
+
+        monkeypatch.setattr(montecarlo, "aggregate_optimum", failing_optimum)
+        summary = run_mc(cfg, keep_trial_gaps=True)
+        assert summary.h == clean.h
+        for ls in summary.labels:
+            assert ls.errors == [(1, "bracket-failure", "trial 1 has no bracket")]
+            assert ls.trial_count == 2
+            assert np.array_equal(
+                summary.per_trial_gaps[ls.label],
+                np.delete(clean.per_trial_gaps[ls.label], 1, axis=0))
+
+
 class TestCompareTopologies:
     def make_summary(self, rows):
         labels = [

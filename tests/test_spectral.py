@@ -390,7 +390,43 @@ class TestZeroCurvatureRate:
         assert vals[4] <= 1e-12 * vals[-1]
 
 
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the oracle compares the raised error too
+        return type(exc), str(exc)
+
+
 class TestSpectralReport:
+    @pytest.mark.parametrize("case", ["dense", "sparse", "disconnected",
+                                      "single", "empty", "edgeless"])
+    def test_one_gap_solve_without_curvatures(self, monkeypatch, case):
+        """Values and errors are those of ``lambda2_laplacian`` and the
+        zero-curvature ``convergence_rate``, from one Laplacian gap solve."""
+        rng = np.random.default_rng(3)
+        g = {
+            "dense": lambda: weighted_scale_free("hk", 200, rng),
+            "sparse": lambda: weighted_scale_free("ba", DENSE_LIMIT + 100, rng),
+            "disconnected": lambda: build_graph(
+                [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)], n=5),
+            "single": lambda: build_graph([], n=1),
+            "empty": lambda: build_graph([], n=0),
+            "edgeless": lambda: build_graph([], n=4),
+        }[case]()
+        want = _outcome(lambda: (
+            lambda2_laplacian(g),
+            convergence_rate(JacobianSpec(laplacian_sparse(g), 0.7,
+                                          np.zeros(g.n)))))
+        calls = []
+        gap = spectral._laplacian_gap
+        monkeypatch.setattr(spectral, "_laplacian_gap",
+                            lambda lap: calls.append(1) or gap(lap))
+        got = _outcome(lambda: spectral_report(g, 0.7))
+        if isinstance(got, spectral.SpectralReport):
+            got = (got.lambda2_laplacian, got.rate)
+        assert got == want
+        assert len(calls) == 1
+
     def test_report_with_zero_curvature(self):
         g = complete_graph(6)
         report = spectral_report(g, alpha=0.5)
