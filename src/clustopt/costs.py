@@ -12,8 +12,8 @@ Two per-node cost families:
   ``a_i (x - b_i)^4`` with ``a_i in (0, 0.025]`` and ``b_i in [-10, 10]``.
 
 Models are immutable after sampling; every evaluation is pure.  Each family
-defines only its parameters and three per-node kernels; the scalar and
-aggregate evaluations are shared and go through those kernels.
+defines only its parameters and three per-node kernels; the aggregate
+evaluations are shared and go through those kernels.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BracketError, IndexOutOfRangeError, InvalidParamsError, SamplerError
+from .errors import BracketError, InvalidParamsError, SamplerError
 
 CLOSED_FORM = "closed_form"
 BISECTION = "bisection"
@@ -44,7 +44,7 @@ class OptimumCertificate:
 
 
 class _CostFamily:
-    """Scalar and aggregate evaluations through a family's per-node kernels.
+    """Aggregate evaluations through a family's per-node kernels.
 
     A family holds its parameter arrays, with ``a`` of leading dimension
     ``n``, and the three kernels ``value_nodes``, ``gradient_nodes`` and
@@ -55,31 +55,11 @@ class _CostFamily:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def _check(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexOutOfRangeError(f"node {i} outside [0, {self.n})")
-
-    def _at(self, kernel, i: int, x: float) -> float:
-        self._check(i)
-        return float(kernel(np.full(self.n, float(x)))[i])
-
-    def value(self, i: int, x: float) -> float:
-        return self._at(self.value_nodes, i, x)
-
-    def gradient(self, i: int, x: float) -> float:
-        return self._at(self.gradient_nodes, i, x)
-
-    def hessian(self, i: int, x: float) -> float:
-        return self._at(self.hessian_nodes, i, x)
-
     def aggregate_value(self, x: float) -> float:
         return float(self.value_nodes(np.full(self.n, float(x))).sum())
 
     def aggregate_gradient(self, x: float) -> float:
         return float(self.gradient_nodes(np.full(self.n, float(x))).sum())
-
-    def aggregate_hessian(self, x: float) -> float:
-        return float(self.hessian_nodes(np.full(self.n, float(x))).sum())
 
 
 @dataclass(frozen=True)
@@ -214,24 +194,6 @@ def aggregate_optimum(model: CostModel) -> OptimumCertificate:
 def optimum_curvatures(model: CostModel) -> np.ndarray:
     """Per-node curvatures at the minimizer of the aggregate cost."""
     return model.hessian_nodes(np.full(model.n, aggregate_optimum(model).x_star))
-
-
-def model_to_dict(model: CostModel) -> dict:
-    """JSON-ready representation so campaigns are replayable."""
-    if isinstance(model, MlLossModel):
-        return {"family": "mlloss", "a": model.a.tolist(), "b": model.b.tolist()}
-    return {"family": "quartic", "a": model.a.tolist(), "b": model.b.tolist()}
-
-
-def model_from_dict(doc: dict) -> CostModel:
-    family = doc.get("family")
-    a = np.array(doc["a"], dtype=np.float64)
-    b = np.array(doc["b"], dtype=np.float64)
-    if family == "mlloss":
-        return MlLossModel(a=a, b=b)
-    if family == "quartic":
-        return QuarticModel(a=a, b=b)
-    raise InvalidParamsError(f"unknown cost family {family!r}")
 
 
 def sample_cost(family: str, n: int, rng: np.random.Generator,

@@ -28,7 +28,11 @@ Degree weights are frozen while one node attaches: edges added by the
 current node never bias its own remaining draws.  With ``triad_links = 0``
 the two models consume the random stream identically.  With
 ``triad_links = 1`` every group is an anchor and one neighbor of it, since
-that pair already closes one triangle for each member.
+that pair already closes one triangle for each member.  A BA node draws
+all its remaining targets in one call (the values and generator state of as
+many scalar draws) and redraws only rejections; HK interleaves draws of
+different bounds, one call each.  1000 rejections in a row fall back to an
+exact frozen-degree draw.
 
 Rewiring raises the global clustering coefficient by greedy double-edge
 swaps that preserve every node degree: two edges (a,b), (c,d) are replaced
@@ -57,6 +61,8 @@ from .errors import DisconnectedError, InvalidParamsError
 from .graphs import Graph, global_clustering, is_connected
 
 _TRIAD_SCAN_LIMIT = 16  # rejection tries before listing eligible neighbors
+# preferential draws rejected in a row before an exact frozen-degree draw
+_MAX_REJECTIONS = 1000
 # swap proposals drawn and scored per numpy pass: 128 beat 64 and 256 at
 # n = 800 and n = 1788, where a 256 block's rows outgrow the cache
 _BLOCK = 128
@@ -194,89 +200,93 @@ def generate_hk(params: HkParams, rng: np.random.Generator) -> Graph:
 
 def _grow(n: int, links: int, triad_links: int, seed_size: int,
           rng: np.random.Generator) -> Graph:
-    adj_list: list[list[int]] = [[] for _ in range(n)]
-    adj_set: list[set[int]] = [set() for _ in range(n)]
-    edges: list[tuple[int, int]] = []
-
-    def add_edge(u: int, v: int) -> None:
-        edges.append((u, v))
-        adj_list[u].append(v)
-        adj_list[v].append(u)
-        adj_set[u].add(v)
-        adj_set[v].add(u)
-
-    for i in range(seed_size):
-        for j in range(i + 1, seed_size):
-            add_edge(i, j)
-
-    # endpoint pool: node k appears deg(k) times; updated only after a node
-    # finishes attaching, which freezes the degree weights for its draws
-    pool: list[int] = []
-    deg_frozen = np.zeros(n, dtype=np.int64)
-    for i in range(seed_size):
-        pool.extend([i] * (seed_size - 1))
-        deg_frozen[i] = seed_size - 1
+    # endpoint pool: node k appears deg(k) times.  A node's [v] * links +
+    # targets join it after v attaches, freezing the weights of v's draws.
+    size = n_seed = seed_size * (seed_size - 1)
+    pool = (np.repeat(np.arange(seed_size), seed_size - 1).tolist()
+            + [0] * (2 * links * (n - seed_size)))
+    # triad draws index a neighbor list by position, so lists keep the order
+    # of placement; at L2 = 1 the group test never decides, so no sets
+    adj_list = ([[u for u in range(seed_size) if u != k]
+                 for k in range(seed_size)] if triad_links else None)
+    adj_set = [set(nb) for nb in adj_list] if triad_links >= 2 else None
 
     for v in range(seed_size, n):
         chosen: set[int] = set()
         targets: list[int] = []
-
-        def draw_preferential() -> int:
-            if pool:
-                for _ in range(1000):
-                    t = pool[rng.integers(0, len(pool))]
-                    if t not in chosen:
-                        return t
-            # pathological rejection streak or empty pool: sample the exact
-            # frozen-degree distribution over remaining candidates
-            cand = np.array([u for u in range(v) if u not in chosen],
-                            dtype=np.int64)
-            wts = deg_frozen[cand].astype(np.float64)
-            total = wts.sum()
-            if total > 0:
-                cum = np.cumsum(wts)
-                return int(cand[np.searchsorted(cum, rng.uniform(0, total),
-                                                side="right")])
-            return int(cand[rng.integers(0, len(cand))])
-
-        def draw_triad(anchor: int) -> int:
-            # the anchor had >= links - 1 neighbors before v arrived, and v
-            # has placed at most links - 2 other targets, so one is eligible
-            nbrs = adj_list[anchor]
-            if len(nbrs) > _TRIAD_SCAN_LIMIT:
-                for _ in range(_TRIAD_SCAN_LIMIT):
-                    u = nbrs[rng.integers(0, len(nbrs))]
-                    if u != v and u not in chosen:
-                        return u
-            eligible = [u for u in nbrs if u != v and u not in chosen]
-            return eligible[rng.integers(0, len(eligible))]
-
-        def attach(t: int) -> None:
-            chosen.add(t)
-            targets.append(t)
-            add_edge(v, t)
-
+        streak = 0  # preferential draws rejected in a row
         while len(targets) < links:
-            anchor = draw_preferential()
-            attach(anchor)
-            group = [anchor]
+            # all of a BA node's remaining targets in one call, an HK anchor
+            # alone; no call draws past the streak that ends in an exact draw
+            want = len(targets) + 1 if triad_links else links
+            while len(targets) < want:
+                if size and streak < _MAX_REJECTIONS:
+                    k = min(want - len(targets), _MAX_REJECTIONS - streak)
+                    idx = (rng.integers(0, size, size=k).tolist() if k > 1
+                           else [rng.integers(0, size)])
+                    draws = [pool[i] for i in idx]
+                else:
+                    draws = [_frozen_degree_draw(pool[:size], v, chosen, rng)]
+                for t in draws:
+                    if t in chosen:
+                        streak += 1
+                    else:
+                        streak = 0
+                        chosen.add(t)
+                        targets.append(t)
+            if not triad_links:
+                continue
+            group = [targets[-1]]  # the anchor, and its triad targets
+            nbrs = adj_list[group[0]]
+            nbrs.append(v)
             # a member's neighbors among v's other targets are the triangles
             # that its link to v closes
             while len(targets) < links and (
                     len(group) <= triad_links
-                    or any(len(adj_set[u] & chosen) < triad_links
-                           for u in group)):
-                t = draw_triad(anchor)
-                attach(t)
+                    or (adj_set is not None
+                        and any(len(adj_set[u] & chosen) < triad_links
+                                for u in group))):
+                # the anchor had >= links - 1 neighbors before v, and v has
+                # placed at most links - 2 other targets: one is eligible
+                scan = _TRIAD_SCAN_LIMIT if len(nbrs) > _TRIAD_SCAN_LIMIT else 0
+                for _ in range(scan):
+                    t = nbrs[rng.integers(0, len(nbrs))]
+                    if t != v and t not in chosen:
+                        break
+                else:
+                    eligible = [u for u in nbrs if u != v and u not in chosen]
+                    t = eligible[rng.integers(0, len(eligible))]
+                chosen.add(t)
+                targets.append(t)
+                adj_list[t].append(v)
                 group.append(t)
 
-        pool.extend([v] * links)
-        pool.extend(targets)
-        deg_frozen[v] = links
-        deg_frozen[targets] += 1
+        pool[size:size + 2 * links] = [v] * links + targets
+        size += 2 * links
+        if triad_links:
+            adj_list.append(targets)
+        if adj_set is not None:
+            adj_set.append(set(targets))
+            for t in targets:
+                adj_set[t].add(v)
 
-    e = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), np.int64)
+    # the seed clique in row-major order, then (v, t) in attach order
+    grown = np.array(pool[n_seed:], dtype=np.int64).reshape(-1, 2, links)
+    e = np.concatenate((np.column_stack(np.triu_indices(seed_size, k=1)),
+                        grown.transpose(0, 2, 1).reshape(-1, 2)))
     return Graph(n, e, np.ones(e.shape[0]))
+
+
+def _frozen_degree_draw(pool: list[int], v: int, chosen: set[int],
+                        rng: np.random.Generator) -> int:
+    """Draw a node before ``v`` outside ``chosen`` by its count in ``pool``."""
+    cand = np.array([u for u in range(v) if u not in chosen], dtype=np.int64)
+    cum = np.cumsum(np.bincount(np.array(pool, dtype=np.int64),
+                                minlength=v)[cand], dtype=np.float64)
+    if cum[-1] > 0:
+        return int(cand[np.searchsorted(cum, rng.uniform(0, cum[-1]),
+                                        side="right")])
+    return int(cand[rng.integers(0, len(cand))])
 
 
 class _RewireState:

@@ -172,20 +172,6 @@ def build_graph(edge_list: Iterable[tuple[int, int, float]],
     return Graph(n, edges, weights)
 
 
-def complete_graph(n: int, weight: float = 1.0) -> Graph:
-    """K_n with uniform weights."""
-    idx = np.triu_indices(n, k=1)
-    edges = np.column_stack(idx).astype(np.int64)
-    return Graph(n, edges, np.full(edges.shape[0], weight))
-
-
-def cycle_graph(n: int, weight: float = 1.0) -> Graph:
-    """C_n with uniform weights."""
-    i = np.arange(n, dtype=np.int64)
-    edges = np.column_stack((i, (i + 1) % n))
-    return Graph(n, edges, np.full(n, weight))
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian: degree matrix minus weighted adjacency.
 

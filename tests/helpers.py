@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's computational paths:
 clustering is rechecked by enumerating node triples, symmetric eigenvalues
 by cyclic Jacobi rotations, derivatives by central finite differences, the
 convergence rate by a dense eigensolve of the Householder-deflated Jacobian,
-rewiring by one proposal at a time on Python sets, and the dynamics by one
-trial at a time.
+rewiring by one proposal at a time on Python sets, growth by one scalar
+draw at a time, and the dynamics by one trial at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from clustopt.costs import CostModel, aggregate_optimum, optimum_curvatures, sample_cost
+from clustopt.costs import (
+    CostModel,
+    MlLossModel,
+    QuarticModel,
+    aggregate_optimum,
+    optimum_curvatures,
+    sample_cost,
+)
 from clustopt.dynamics import (
     NodeState,
     SimConfig,
@@ -25,12 +32,13 @@ from clustopt.dynamics import (
     _step_size,
     initialize,
 )
-from clustopt.errors import DisconnectedError
+from clustopt.errors import DisconnectedError, IndexOutOfRangeError, InvalidParamsError
 from clustopt.generators import (
     BaParams,
     HkParams,
     RewireParams,
     RewireReport,
+    _TRIAD_SCAN_LIMIT,
     generate_ba,
     generate_hk,
 )
@@ -41,6 +49,20 @@ from clustopt.graphs import (
     is_connected,
     laplacian_sparse,
 )
+
+
+def complete_graph(n: int, weight: float = 1.0) -> Graph:
+    """K_n with uniform weights."""
+    idx = np.triu_indices(n, k=1)
+    edges = np.column_stack(idx).astype(np.int64)
+    return Graph(n, edges, np.full(edges.shape[0], weight))
+
+
+def cycle_graph(n: int, weight: float = 1.0) -> Graph:
+    """C_n with uniform weights."""
+    i = np.arange(n, dtype=np.int64)
+    edges = np.column_stack((i, (i + 1) % n))
+    return Graph(n, edges, np.full(n, weight))
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -175,6 +197,47 @@ def curvatures_at_optimum(family: str, n: int,
 
 def central_difference(f, x: float, step: float = 1e-5) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def _at_node(model: CostModel, kernel, i: int, x: float) -> float:
+    """Node ``i``'s entry of a per-node kernel, with every node at ``x``."""
+    if not 0 <= i < model.n:
+        raise IndexOutOfRangeError(f"node {i} outside [0, {model.n})")
+    return float(kernel(np.full(model.n, float(x)))[i])
+
+
+def node_value(model: CostModel, i: int, x: float) -> float:
+    return _at_node(model, model.value_nodes, i, x)
+
+
+def node_gradient(model: CostModel, i: int, x: float) -> float:
+    return _at_node(model, model.gradient_nodes, i, x)
+
+
+def node_hessian(model: CostModel, i: int, x: float) -> float:
+    return _at_node(model, model.hessian_nodes, i, x)
+
+
+def aggregate_hessian(model: CostModel, x: float) -> float:
+    return float(model.hessian_nodes(np.full(model.n, float(x))).sum())
+
+
+def model_to_dict(model: CostModel) -> dict:
+    """JSON-ready representation of a cost model."""
+    if isinstance(model, MlLossModel):
+        return {"family": "mlloss", "a": model.a.tolist(), "b": model.b.tolist()}
+    return {"family": "quartic", "a": model.a.tolist(), "b": model.b.tolist()}
+
+
+def model_from_dict(doc: dict) -> CostModel:
+    family = doc.get("family")
+    a = np.array(doc["a"], dtype=np.float64)
+    b = np.array(doc["b"], dtype=np.float64)
+    if family == "mlloss":
+        return MlLossModel(a=a, b=b)
+    if family == "quartic":
+        return QuarticModel(a=a, b=b)
+    raise InvalidParamsError(f"unknown cost family {family!r}")
 
 
 class _ReferenceRewireState:
@@ -327,6 +390,123 @@ def reference_rewire(
         reached_target=c >= params.target_clustering,
     )
     return out, report
+
+
+# (n, links, triad_links, seed_size, seed) of the growth oracle's sweep: BA
+# and HK with L2 0-4, seed cliques larger than links, orders at and just
+# above the seed, n = 2000, a one-node seed, whose first new node meets an
+# empty pool, and links = seed_size, whose first new node meets the
+# 1000-rejection fallback: at 300 with one target left, at 1000 with more,
+# where a batch that drew past the fallback point would shift the stream
+GROWTH_SWEEP = (
+    [(300, 6, l2, None, s) for l2 in range(5) for s in (0, 1, 2)]
+    + [(120, 4, l2, 9, 3) for l2 in (0, 1, 3)]
+    + [(6, 6, 0, None, 0), (7, 6, 2, None, 1), (9, 4, 1, 9, 2),
+       (10, 4, 3, 9, 4), (2000, 6, 0, None, 7), (2000, 6, 2, None, 8)]
+    + [(40, 1, 0, 1, s) for s in range(3)]
+    + [(302, 300, 0, 300, 5), (1001, 1000, 0, 1000, 13)]
+)
+
+
+def grow_case(case: tuple, rng: np.random.Generator) -> Graph:
+    """The graph of one :data:`GROWTH_SWEEP` case, through the public API."""
+    n, links, l2, seed_size, _ = case
+    if l2 == 0:
+        return generate_ba(BaParams(n, links, seed_size), rng)
+    return generate_hk(HkParams(n, links, l2, seed_size), rng)
+
+
+def reference_grow(n: int, links: int, triad_links: int, seed_size: int,
+                   rng: np.random.Generator) -> Graph:
+    """Scalar-draw oracle for :func:`clustopt.generators._grow`.
+
+    One ``rng.integers`` call per preferential draw, adjacency lists and sets
+    for every node, a per-node frozen-degree array.  The fast path must match
+    its edges and final generator state bit for bit.
+    """
+    adj_list: list[list[int]] = [[] for _ in range(n)]
+    adj_set: list[set[int]] = [set() for _ in range(n)]
+    edges: list[tuple[int, int]] = []
+
+    def add_edge(u: int, v: int) -> None:
+        edges.append((u, v))
+        adj_list[u].append(v)
+        adj_list[v].append(u)
+        adj_set[u].add(v)
+        adj_set[v].add(u)
+
+    for i in range(seed_size):
+        for j in range(i + 1, seed_size):
+            add_edge(i, j)
+
+    # endpoint pool: node k appears deg(k) times; updated only after a node
+    # finishes attaching, which freezes the degree weights for its draws
+    pool: list[int] = []
+    deg_frozen = np.zeros(n, dtype=np.int64)
+    for i in range(seed_size):
+        pool.extend([i] * (seed_size - 1))
+        deg_frozen[i] = seed_size - 1
+
+    for v in range(seed_size, n):
+        chosen: set[int] = set()
+        targets: list[int] = []
+
+        def draw_preferential() -> int:
+            if pool:
+                for _ in range(1000):
+                    t = pool[rng.integers(0, len(pool))]
+                    if t not in chosen:
+                        return t
+            # pathological rejection streak or empty pool: sample the exact
+            # frozen-degree distribution over remaining candidates
+            cand = np.array([u for u in range(v) if u not in chosen],
+                            dtype=np.int64)
+            wts = deg_frozen[cand].astype(np.float64)
+            total = wts.sum()
+            if total > 0:
+                cum = np.cumsum(wts)
+                return int(cand[np.searchsorted(cum, rng.uniform(0, total),
+                                                side="right")])
+            return int(cand[rng.integers(0, len(cand))])
+
+        def draw_triad(anchor: int) -> int:
+            # the anchor had >= links - 1 neighbors before v arrived, and v
+            # has placed at most links - 2 other targets, so one is eligible
+            nbrs = adj_list[anchor]
+            if len(nbrs) > _TRIAD_SCAN_LIMIT:
+                for _ in range(_TRIAD_SCAN_LIMIT):
+                    u = nbrs[rng.integers(0, len(nbrs))]
+                    if u != v and u not in chosen:
+                        return u
+            eligible = [u for u in nbrs if u != v and u not in chosen]
+            return eligible[rng.integers(0, len(eligible))]
+
+        def attach(t: int) -> None:
+            chosen.add(t)
+            targets.append(t)
+            add_edge(v, t)
+
+        while len(targets) < links:
+            anchor = draw_preferential()
+            attach(anchor)
+            group = [anchor]
+            # a member's neighbors among v's other targets are the triangles
+            # that its link to v closes
+            while len(targets) < links and (
+                    len(group) <= triad_links
+                    or any(len(adj_set[u] & chosen) < triad_links
+                           for u in group)):
+                t = draw_triad(anchor)
+                attach(t)
+                group.append(t)
+
+        pool.extend([v] * links)
+        pool.extend(targets)
+        deg_frozen[v] = links
+        deg_frozen[targets] += 1
+
+    e = np.array(edges, dtype=np.int64) if edges else np.empty((0, 2), np.int64)
+    return Graph(n, e, np.ones(e.shape[0]))
 
 
 def reference_run(g: Graph, model: CostModel, cfg: SimConfig,

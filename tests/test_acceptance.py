@@ -25,8 +25,6 @@ from clustopt.generators import (
     rewire_increase_clustering,
 )
 from clustopt.graphs import (
-    complete_graph,
-    cycle_graph,
     degree_stats,
     global_clustering,
     is_connected,
@@ -42,8 +40,17 @@ from clustopt.montecarlo import (
     trial_seed,
 )
 from clustopt.spectral import JacobianSpec, convergence_rate, lambda2_laplacian
-from helpers import brute_force_clustering, central_difference, \
-    random_connected_graph, random_graph
+from helpers import (
+    brute_force_clustering,
+    central_difference,
+    complete_graph,
+    cycle_graph,
+    node_gradient,
+    node_hessian,
+    node_value,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def verdict(criterion: str, passed: bool, detail: str) -> None:
@@ -281,13 +288,13 @@ def test_criterion_09_derivative_correctness():
         for _ in range(100):
             i = int(rng.integers(0, 20))
             x = float(rng.uniform(-8, 8))
-            g_fd = central_difference(lambda t: model.value(i, t), x)
-            h_fd = central_difference(lambda t: model.gradient(i, t), x)
+            g_fd = central_difference(lambda t: node_value(model, i, t), x)
+            h_fd = central_difference(lambda t: node_gradient(model, i, t), x)
             scale_g = max(abs(g_fd), 1e-3)
             scale_h = max(abs(h_fd), 1e-3)
             worst = max(worst,
-                        abs(model.gradient(i, x) - g_fd) / scale_g,
-                        abs(model.hessian(i, x) - h_fd) / scale_h)
+                        abs(node_gradient(model, i, x) - g_fd) / scale_g,
+                        abs(node_hessian(model, i, x) - h_fd) / scale_h)
     verdict("criterion 9 (derivatives vs finite differences)",
             worst < 1e-6, f"worst relative error {worst:.2e}")
 

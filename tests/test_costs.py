@@ -9,13 +9,19 @@ from clustopt.costs import (
     MlLossModel,
     QuarticModel,
     aggregate_optimum,
-    model_from_dict,
-    model_to_dict,
     sample_mlloss,
     sample_quartic,
 )
 from clustopt.errors import IndexOutOfRangeError, InvalidParamsError
-from helpers import central_difference
+from helpers import (
+    aggregate_hessian,
+    central_difference,
+    model_from_dict,
+    model_to_dict,
+    node_gradient,
+    node_hessian,
+    node_value,
+)
 
 
 class TestMlLossSampler:
@@ -59,26 +65,26 @@ class TestQuarticSampler:
 class TestEvaluation:
     def test_quartic_at_its_minimum(self):
         model = QuarticModel(a=np.array([0.01]), b=np.array([2.0]))
-        assert model.value(0, 2.0) == 0.0
-        assert model.gradient(0, 2.0) == 0.0
-        assert model.hessian(0, 2.0) == 0.0
+        assert node_value(model, 0, 2.0) == 0.0
+        assert node_gradient(model, 0, 2.0) == 0.0
+        assert node_hessian(model, 0, 2.0) == 0.0
 
     def test_quartic_point_values(self):
         model = QuarticModel(a=np.array([0.01]), b=np.array([0.0]))
-        assert model.value(0, 1.0) == pytest.approx(0.01, abs=1e-15)
-        assert model.gradient(0, 1.0) == pytest.approx(0.04, abs=1e-15)
-        assert model.hessian(0, 1.0) == pytest.approx(0.12, abs=1e-15)
+        assert node_value(model, 0, 1.0) == pytest.approx(0.01, abs=1e-15)
+        assert node_gradient(model, 0, 1.0) == pytest.approx(0.04, abs=1e-15)
+        assert node_hessian(model, 0, 1.0) == pytest.approx(0.12, abs=1e-15)
 
     def test_mlloss_single_term_origin(self):
         model = MlLossModel(a=np.array([[0.0]]), b=np.array([[0.0]]))
-        assert model.value(0, 0.0) == 0.0
-        assert model.gradient(0, 0.0) == 0.0
-        assert model.hessian(0, 0.0) == 10.0
+        assert node_value(model, 0, 0.0) == 0.0
+        assert node_gradient(model, 0, 0.0) == 0.0
+        assert node_hessian(model, 0, 0.0) == 10.0
 
     def test_index_out_of_range(self):
         model = QuarticModel(a=np.array([0.01]), b=np.array([1.0]))
         with pytest.raises(IndexOutOfRangeError):
-            model.value(3, 0.0)
+            node_value(model, 3, 0.0)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(12)
@@ -86,7 +92,7 @@ class TestEvaluation:
         x = rng.uniform(-3, 3, 6)
         vals = model.value_nodes(x)
         for i in range(6):
-            assert vals[i] == pytest.approx(model.value(i, x[i]), rel=1e-14)
+            assert vals[i] == pytest.approx(node_value(model, i, x[i]), rel=1e-14)
 
 
 class TestQuarticGradientKernel:
@@ -122,10 +128,10 @@ class TestDerivativeOracle:
         for _ in range(100):
             i = int(rng.integers(0, 10))
             x = float(rng.uniform(-8, 8))
-            g_fd = central_difference(lambda t: model.value(i, t), x)
-            h_fd = central_difference(lambda t: model.gradient(i, t), x)
-            g = model.gradient(i, x)
-            h = model.hessian(i, x)
+            g_fd = central_difference(lambda t: node_value(model, i, t), x)
+            h_fd = central_difference(lambda t: node_gradient(model, i, t), x)
+            g = node_gradient(model, i, x)
+            h = node_hessian(model, i, x)
             assert g == pytest.approx(g_fd, rel=1e-6, abs=1e-6)
             assert h == pytest.approx(h_fd, rel=1e-6, abs=1e-6)
 
@@ -137,7 +143,7 @@ class TestAggregateOptimum:
         assert cert.x_star == 0.0
         assert cert.f_star == 0.0
         assert cert.method == CLOSED_FORM
-        assert cert.residual <= 1e-10 * (1 + abs(model.aggregate_hessian(0.0)))
+        assert cert.residual <= 1e-10 * (1 + abs(aggregate_hessian(model, 0.0)))
 
     def test_quartic_symmetric_pair(self):
         model = QuarticModel(a=np.array([0.02, 0.02]), b=np.array([-3.0, 3.0]))
@@ -157,7 +163,7 @@ class TestAggregateOptimum:
             model = sample_quartic(int(rng.integers(2, 40)), rng)
             cert = aggregate_optimum(model)
             assert cert.residual <= 1e-10 * (
-                1 + abs(model.aggregate_hessian(cert.x_star)))
+                1 + abs(aggregate_hessian(model, cert.x_star)))
 
     @pytest.mark.parametrize("family", ["quartic", "mlloss"])
     def test_local_minimum_certificate(self, family):

@@ -21,9 +21,9 @@ from clustopt.dynamics import (
     stability_max_step,
 )
 from clustopt.errors import DimensionMismatchError, DisconnectedError, InvalidParamsError
-from clustopt.graphs import build_graph, complete_graph, laplacian, laplacian_sparse
+from clustopt.graphs import build_graph, laplacian, laplacian_sparse
 from clustopt.spectral import JacobianSpec, convergence_rate
-from helpers import random_connected_graph, reference_run, weighted_scale_free
+from helpers import complete_graph, random_connected_graph, reference_run, weighted_scale_free
 
 
 def path2():

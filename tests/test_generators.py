@@ -16,7 +16,6 @@ from clustopt.generators import (
 from clustopt.graphs import (
     assign_random_weights,
     build_graph,
-    cycle_graph,
     degree_histogram,
     degree_stats,
     global_clustering,
@@ -24,7 +23,15 @@ from clustopt.graphs import (
     powerlaw_tail_slope,
     predicted_c_ba,
 )
-from helpers import random_connected_graph, reference_rewire
+from clustopt import generators
+from helpers import (
+    GROWTH_SWEEP,
+    cycle_graph,
+    grow_case,
+    random_connected_graph,
+    reference_grow,
+    reference_rewire,
+)
 
 
 def expected_edges(n, links, seed_size):
@@ -396,3 +403,37 @@ def test_block_scoring_matches_reference(case):
     if case == "target-mid-block":
         assert report.reached_target
         assert 0 < report.swaps_attempted < _BLOCK
+
+
+@pytest.mark.parametrize("k", [7, 3000, 2**31 + 5])
+def test_sized_draw_equals_scalar_draws(k):
+    """The installed numpy's contract that batched BA growth rests on: one
+    ``integers(0, k, size=m)`` call returns the values of m scalar calls and
+    leaves the generator in the same state."""
+    for m in (1, 2, 6, 1000):
+        batched = np.random.default_rng(m)
+        scalar = np.random.default_rng(m)
+        values = batched.integers(0, k, size=m)
+        assert values.tolist() == [int(scalar.integers(0, k))
+                                   for _ in range(m)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("case", GROWTH_SWEEP, ids=str)
+def test_growth_matches_reference(monkeypatch, case):
+    """Growth equals the scalar-draw oracle: the same edges, and the
+    generator in the same state afterwards."""
+    exact = []
+    draw = generators._frozen_degree_draw
+    monkeypatch.setattr(generators, "_frozen_degree_draw",
+                        lambda *a: exact.append(1) or draw(*a))
+    n, links, l2, seed_size, seed = case
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    g = grow_case(case, rng_fast)
+    ref = reference_grow(n, links, l2, seed_size or links, rng_ref)
+    assert g.n == ref.n
+    assert np.array_equal(g.edges, ref.edges)
+    assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    if seed_size == 1 or links >= 300:  # the empty pool, the fallback
+        assert exact

@@ -14,8 +14,6 @@ from clustopt.generators import HkParams, generate_hk
 from clustopt.graphs import (
     assign_random_weights,
     build_graph,
-    complete_graph,
-    cycle_graph,
     degree_histogram,
     degree_stats,
     global_clustering,
@@ -27,7 +25,13 @@ from clustopt.graphs import (
     predicted_c_ba,
     predicted_c_hk,
 )
-from helpers import brute_force_clustering, brute_force_triangles, random_graph
+from helpers import (
+    brute_force_clustering,
+    brute_force_triangles,
+    complete_graph,
+    cycle_graph,
+    random_graph,
+)
 
 
 def k4_minus_edge():

@@ -24,9 +24,10 @@ from clustopt.graph_io import (
     read_graph,
     write_graph,
 )
-from clustopt.graphs import build_graph, complete_graph, global_clustering
+from clustopt.graphs import build_graph, global_clustering
 from clustopt.montecarlo import ScatterRow
 from clustopt.costs import sample_quartic
+from helpers import complete_graph
 
 
 class TestGraphJson:

@@ -6,7 +6,7 @@ import pytest
 from clustopt.dynamics import SimConfig
 from clustopt.errors import ClustoptError, IndexOutOfRangeError, InvalidParamsError
 from clustopt.graph_io import format_summary_json
-from clustopt.graphs import complete_graph, build_graph
+from clustopt.graphs import build_graph
 from clustopt.montecarlo import (
     CostSpec,
     LabelSummary,
@@ -18,6 +18,7 @@ from clustopt.montecarlo import (
     scatter_report,
     trial_seed,
 )
+from helpers import complete_graph
 
 
 def small_config(base_seed=5, trials=3, labels=("A", "B")):

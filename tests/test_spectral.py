@@ -19,8 +19,6 @@ from clustopt.graphs import (
     Graph,
     assign_random_weights,
     build_graph,
-    complete_graph,
-    cycle_graph,
     laplacian,
     laplacian_sparse,
 )
@@ -37,8 +35,12 @@ from clustopt.spectral import (
     spectral_report,
 )
 from helpers import (
+    GROWTH_SWEEP,
+    complete_graph,
     curvatures_at_optimum,
+    cycle_graph,
     dense_jacobian_rate,
+    grow_case,
     jacobi_eigenvalues,
     random_connected_graph,
     weighted_scale_free,
@@ -143,6 +145,40 @@ class TestLambda2:
         lam_max = spla.eigsh(laplacian_sparse(g), k=1, which="LA",
                              return_eigenvectors=False)[0]
         assert abs(lambda2_laplacian(g) - expected) <= 1e-8 * lam_max
+
+
+@pytest.mark.filterwarnings("error")  # no solver warning may escape
+class TestDenseGap:
+    """Up to DENSE_LIMIT the Laplacian gap is one LAPACK eigenvalue."""
+
+    def test_two_components_and_isolated_nodes_match_eigvalsh(self):
+        rng = np.random.default_rng(32)
+        a = weighted_scale_free("ba", 150, rng)
+        b = weighted_scale_free("hk", 120, rng)
+        g = Graph(273, np.vstack([a.edges, b.edges + 150]),
+                  np.concatenate([a.weights, b.weights]))
+        lap = laplacian_sparse(g)
+        rate = convergence_rate(JacobianSpec(lap, 1.0, np.zeros(g.n)))
+        vals = np.linalg.eigvalsh(lap.toarray())
+        assert abs(rate - vals[5]) <= 1e-12 * vals[-1]
+        assert vals[4] <= 1e-12 * vals[-1]
+        assert lambda2_laplacian(g) == 0.0
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_symmetric_laplacian_rejected(self, sparse):
+        lap = laplacian(complete_graph(5))
+        lap[0, 1] += 1e-6
+        lap = sp.csr_matrix(lap) if sparse else lap
+        with pytest.raises(NotSymmetricError):
+            convergence_rate(JacobianSpec(lap, 1.0, np.zeros(5)))
+
+    @pytest.mark.parametrize(
+        "case", [c for c in GROWTH_SWEEP if 1 < c[0] <= DENSE_LIMIT], ids=str)
+    def test_matches_eigvalsh_on_grown_graphs(self, case):
+        rng = np.random.default_rng(case[-1])
+        g = assign_random_weights(grow_case(case, rng), rng)
+        vals = np.linalg.eigvalsh(laplacian(g))
+        assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-12 * vals[-1]
 
 
 class TestJacobian:
@@ -367,7 +403,7 @@ class TestZeroCurvatureRate:
         def raise_(*args, **kwargs):
             raise AssertionError("dense solve above DENSE_LIMIT")
 
-        monkeypatch.setattr(spectral, "eig_symmetric", raise_)
+        monkeypatch.setattr(spectral.sla, "eigvalsh", raise_)
 
     def test_connected_equals_lambda2(self):
         rng = np.random.default_rng(30)
@@ -420,7 +456,7 @@ class TestSpectralReport:
         calls = []
         gap = spectral._laplacian_gap
         monkeypatch.setattr(spectral, "_laplacian_gap",
-                            lambda lap: calls.append(1) or gap(lap))
+                            lambda *a: calls.append(1) or gap(*a))
         got = _outcome(lambda: spectral_report(g, 0.7))
         if isinstance(got, spectral.SpectralReport):
             got = (got.lambda2_laplacian, got.rate)
