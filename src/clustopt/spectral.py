@@ -25,13 +25,13 @@ the algebraic connectivity is the smallest Laplacian eigenvalue orthogonal
 to the component indicators, and the rate is read off a Jacobian whose
 structural zeros a rank-one shift per component has moved far left (see
 :func:`convergence_rate`).  Each has a dense solver for small orders and a
-sparse one above them.
+sparse one above them; the sparse Laplacian gap is this module's own block
+LOBPCG (:func:`_lobpcg`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +50,22 @@ from .errors import (
 )
 from .graphs import Graph, laplacian_sparse
 
-# Order up to which lambda2 uses the dense solver.  A speed crossover, not a
-# correctness limit: median CPU of one dsyevr eigenvalue against LOBPCG on
-# eight weighted BA and HK graphs is 13 against 48 ms at n = 500, 51 against
-# 58 ms at n = 800 and 78 against 63 ms at n = 900 (2 vCPU Xeon, one thread).
+# Order up to which the Laplacian gap uses the dense solver.  Not a
+# correctness limit, and no longer the speed crossover: median CPU of one
+# dsyevr eigenvalue against _lobpcg on eight weighted BA and HK graphs
+# (links=6) is 15 against 14 ms at n = 500, 35 against 13 ms at n = 700,
+# 48 against 14 ms at n = 800 and 90 against 16 ms at n = 1000 (2 vCPU Xeon,
+# one thread).  It stays at 800: lowering it would move lambda2 of graphs
+# of lower order, and with it campaign summaries, in the last bits.
 DENSE_LIMIT = 800
 DEFAULT_SIZE_CAP = 20000
 # LOBPCG stops once the residual norm is below LOBPCG_TOL times the
 # Gershgorin bound on the largest Laplacian eigenvalue.  A Laplacian
 # eigenvalue lies within the residual norm of the returned value.
 LOBPCG_TOL = 1e-10
-# The slowest graphs measured are paths and cycles: a 900-node path needs
-# 5.2 iterations per node, scale-free graphs a few hundred in all.
+# The slowest graphs measured are paths and cycles, at 1.3 (cycle) and 2.3
+# (path) iterations per node at n = 900 and 1.7 and 2.0 at n = 3000;
+# weighted scale-free graphs at n = 3000 need 66-180 iterations in all.
 LOBPCG_ITERS_PER_NODE = 10
 # Order up to which the rate measure solves the dense Jacobian.  A speed
 # crossover: the matrix-free path is faster above it (see convergence_rate).
@@ -154,12 +158,15 @@ def lambda2_laplacian(g: Graph) -> float:
     0.0 for a graph of at most one node and for a disconnected graph.
     Otherwise one LAPACK eigenvalue up to ``DENSE_LIMIT``; above it, one
     LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) for the
-    smallest eigenvalue orthogonal to the constant vector, with a Jacobi
-    preconditioner and a start vector from a fixed seed, so reruns give the
-    same bits.  ``ConvergenceError`` is raised when its residual is still
-    above ``LOBPCG_TOL`` times twice the largest weighted degree after
-    ``LOBPCG_ITERS_PER_NODE * n`` iterations.  Values within 1e-12 times
-    that bound of the structural zero are clamped to exactly 0.
+    smallest eigenvalue orthogonal to the constant vector, with a block of
+    two vectors, a Jacobi preconditioner and a start block from a fixed
+    seed, so reruns give the same bits.  The second vector keeps the solve
+    going where lambda3 lies close above lambda2, as on clustered
+    scale-free graphs, where one vector stalls.  ``ConvergenceError`` is
+    raised when its residual is still above ``LOBPCG_TOL`` times twice the
+    largest weighted degree after ``LOBPCG_ITERS_PER_NODE * n``
+    iterations.  Values within 1e-12 times that bound of the structural
+    zero are clamped to exactly 0.
     """
     lap = laplacian_sparse(g)
     comps = connected_components(lap, directed=False)
@@ -179,8 +186,10 @@ def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
 
     ``comps`` is ``connected_components(lap)`` where the caller has it.  Up
     to ``DENSE_LIMIT``: eigenvalue ``ncomp`` by LAPACK ``dsyevr``; above it,
-    LOBPCG with the normalized indicators as constraints.  ``AllZeroError``
-    when every node is its own component.
+    :func:`_lobpcg`, kept off the indicators by subtracting each component's
+    mean, and a residual check on its result against a fresh product.
+    Isolated nodes are dropped first.  ``AllZeroError`` when every node is
+    its own component.
     """
     n = lap.shape[0]
     ncomp, labels = comps or connected_components(lap, directed=False)
@@ -203,27 +212,68 @@ def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
         return _laplacian_gap(lap[keep][:, keep])
     tol = LOBPCG_TOL * scale
     maxiter = math.ceil(LOBPCG_ITERS_PER_NODE * n)
-    precond = sp.diags(1.0 / deg)
-    x0 = np.random.default_rng(0).standard_normal((n, 1))
-    indicators = np.zeros((n, ncomp))
-    indicators[np.arange(n), labels] = 1.0 / np.sqrt(sizes)[labels]
-    with warnings.catch_warnings():
-        # lobpcg warns and returns its best iterate when it stops short;
-        # the residual check below decides instead
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            vals, vecs = spla.lobpcg(lap, x0, M=precond, Y=indicators,
-                                     tol=tol, maxiter=maxiter, largest=False)
-        except ValueError as exc:  # its final Rayleigh-Ritz eigh failed
-            raise ConvergenceError(f"LOBPCG failed: {exc}") from exc
-    gap = float(vals[0])
-    x = vecs[:, 0]
+    gap, x = _lobpcg(lap, deg, labels, sizes, tol, maxiter)
     resid = float(np.linalg.norm(lap @ x - gap * x) / np.linalg.norm(x))
     if not resid <= tol:
         raise ConvergenceError(
             f"LOBPCG residual {resid:.3g} above {tol:.3g} "
             f"after {maxiter} iterations")
     return gap, scale
+
+
+def _lobpcg(lap: np.ndarray | sp.spmatrix, deg: np.ndarray,
+            labels: np.ndarray, sizes: np.ndarray, tol: float,
+            maxiter: int) -> tuple[float, np.ndarray]:
+    """Smallest Ritz pair of ``lap`` off the component indicators.
+
+    LOBPCG with a block of two: each iteration runs Rayleigh-Ritz on the
+    Ritz vectors X, their Jacobi-preconditioned residuals W and the last
+    steps P, through a Cholesky factor of their Gram matrix scaled to unit
+    rows (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).  The new P is
+    the W and P part of the new X.  Where that Gram matrix is not positive
+    definite, P is left out for the step; where that of X and W is not,
+    ``ConvergenceError``.  Stops when the smallest pair's residual norm is
+    at most ``tol``, else returns its pair after ``maxiter`` iterations.
+    """
+    n = lap.shape[0]
+    # rows 0-1 X (Ritz vectors), 2-3 W (preconditioned residuals), 4-5 P
+    # (last steps) in ``s``; their Laplacian products in ``ls``
+    both = np.zeros((2, 6, n))
+    s, ls = both
+    flat = both.reshape(12, n)
+
+    def deflate(rows: np.ndarray) -> None:  # subtract each component's mean
+        for r in rows:
+            r -= (np.bincount(labels, r) / sizes)[labels]
+
+    s[:2] = np.random.default_rng(0).standard_normal((2, n))
+    deflate(s[:2])
+    ls[0], ls[1] = lap @ s[0], lap @ s[1]
+    k = 2  # rows in the basis: X, then W, then P
+    for _ in range(maxiter):
+        q = s[:k] @ flat.T  # the Gram matrix and the projected Laplacian
+        d = 1.0 / np.sqrt(q.diagonal())
+        try:  # Rayleigh-Ritz in the basis scaled to unit rows
+            ci = np.linalg.inv(np.linalg.cholesky(q[:, :k] * d * d[:, None]))
+        except np.linalg.LinAlgError:
+            if k < 6:
+                raise ConvergenceError("LOBPCG basis lost rank") from None
+            k = 4  # P nearly in the span of X and W: drop it for this step
+            continue
+        theta, v = np.linalg.eigh(ci @ (q[:, 6:6 + k] * d * d[:, None]) @ ci.T)
+        y = d[:, None] * (ci.T @ v[:, :2])
+        x = y.T @ both[:, :k]
+        if k > 2:  # new P: the W and P parts of the new X
+            both[:, 4:6] = y[2:].T @ both[:, 2:k]
+        both[:, :2] = x
+        r = ls[:2] - theta[:2, None] * s[:2]
+        if np.linalg.norm(r[0]) <= tol:
+            break
+        s[2:4] = r / deg
+        deflate(s[2:4])
+        ls[2], ls[3] = lap @ s[2], lap @ s[3]
+        k = 6 if k > 2 else 4
+    return float(theta[0]), s[0]
 
 
 def build_jacobian(spec: JacobianSpec) -> np.ndarray:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestEigSolvers:
         assert eig_symmetric(m) == pytest.approx(jacobi_eigenvalues(m), abs=1e-8)
 
 
+@pytest.fixture(scope="module", params=[
+    pytest.param(5397402447185522238, id="spectrum-seed58-op1"),
+    pytest.param(1435521877459735739, id="spectrum-seed57-op7")])
+def clustered_hk(request):
+    """A weighted HK graph (n = 3000, links=6, L2 = 1) grown and weighted as
+    the ``spectrum`` benchmark does, and its dense Laplacian spectrum.
+    lambda3 lies 0.6% above lambda2, where LOBPCG with one vector stalls
+    (the first) or needs 20 s (the second)."""
+    rng = np.random.default_rng(request.param)
+    g = assign_random_weights(generate_hk(HkParams(3000, 6, 1), rng), rng)
+    return g, np.linalg.eigvalsh(laplacian(g))
+
+
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
 class TestLambda2:
     @pytest.mark.parametrize("n", [4, 10, 25, 50, DENSE_LIMIT + 100])
@@ -121,6 +135,42 @@ class TestLambda2:
             Graph(2 * half, edges, np.ones(len(edges))), rng)
         vals = np.linalg.eigvalsh(laplacian(g))
         assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
+
+    def test_clustered_scale_free_matches_dense(self, clustered_hk):
+        g, vals = clustered_hk
+        assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
+
+    def test_sparse_path_repeats_bit_for_bit(self):
+        rng = np.random.default_rng(62)
+        g = weighted_scale_free("hk", 900, rng)
+        first = lambda2_laplacian(g)
+        lambda2_laplacian(weighted_scale_free("ba", 900, rng))
+        assert lambda2_laplacian(Graph(g.n, g.edges, g.weights)) == first
+
+    @staticmethod
+    def _cholesky_fails_from(monkeypatch, order):
+        cholesky = np.linalg.cholesky
+
+        def failing(m):
+            if len(m) >= order:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(m)
+
+        monkeypatch.setattr(spectral.np.linalg, "cholesky", failing)
+
+    def test_sparse_path_drops_p_when_gram_not_positive_definite(
+            self, monkeypatch):
+        g = weighted_scale_free("hk", DENSE_LIMIT + 100,
+                                np.random.default_rng(63))
+        vals = np.linalg.eigvalsh(laplacian(g))
+        self._cholesky_fails_from(monkeypatch, 6)
+        assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
+
+    def test_sparse_path_basis_without_p_not_positive_definite_raises(
+            self, monkeypatch):
+        self._cholesky_fails_from(monkeypatch, 4)
+        with pytest.raises(ConvergenceError, match="lost rank"):
+            lambda2_laplacian(cycle_graph(DENSE_LIMIT + 100))
 
     def test_sparse_path_iteration_cap_raises(self, monkeypatch):
         n = DENSE_LIMIT + 100
@@ -424,6 +474,30 @@ class TestZeroCurvatureRate:
         vals = np.linalg.eigvalsh(lap.toarray())
         assert abs(rate - vals[5]) <= 1e-8 * vals[-1]
         assert vals[4] <= 1e-12 * vals[-1]
+
+    def test_many_components_match_eigvalsh_in_vector_memory(self):
+        # 250 weighted trees of 2-8 nodes: the constraint is per-component
+        # means, not an n x ncomp indicator block
+        rng = np.random.default_rng(7)
+        edges, start = [], 0
+        for _ in range(250):
+            size = int(rng.integers(2, 9))
+            edges += [(start + int(rng.integers(0, v)), start + v)
+                      for v in range(1, size)]
+            start += size
+        g = Graph(start, np.array(edges), rng.uniform(0.5, 1.5, len(edges)))
+        assert g.n > DENSE_LIMIT
+        spec = JacobianSpec(laplacian_sparse(g), 1.0, np.zeros(g.n))
+        tracemalloc.start()
+        try:
+            rate = convergence_rate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vals = np.linalg.eigvalsh(laplacian(g))
+        assert abs(rate - vals[250]) <= 1e-8 * vals[-1]
+        assert vals[249] <= 1e-12 * vals[-1]
+        assert peak < g.n * 250 * 8 / 4
 
 
 def _outcome(fn):
