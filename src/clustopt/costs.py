@@ -27,7 +27,6 @@ from .errors import BracketError, InvalidParamsError, SamplerError
 
 CLOSED_FORM = "closed_form"
 BISECTION = "bisection"
-GRID_REFINE = "grid_refine"
 
 _BISECT_WIDTH = 1e-12
 _BISECT_MAX_ITER = 200

@@ -8,14 +8,12 @@ seed from ``(base_seed, label_index, trial_index)`` through an integer
 mixing function, so campaigns are bit-reproducible and trials are
 independent of execution order.
 
-When the step size is left unset, the campaign makes a first deterministic
-pass over all trials to take the most conservative stability bound, then
-integrates them with half that bound, so every label is integrated with one
-common step size.  Only the first pass grows graphs: it keeps each trial's
-edges and generator state, and the second pass rebuilds the trial from
-them, so every trial's graph is grown once whether or not ``h`` is set.
-That pass keeps a label's Laplacians, cost models and initial states and
-integrates them as one stacked system.
+Each trial is built once, whether or not the step size is set: a first
+pass grows every label's trials, builds their weights, cost models and
+initial states, and takes their stability bounds, optima and metrics.  When
+the step size is left unset, the campaign integrates with half the most
+conservative of those bounds, so every label shares one step size.  Each
+label's built trials then integrate as one stacked system.
 
 The campaign config document is read and echoed here, next to
 :class:`McConfig`; :mod:`clustopt.graph_io` only writes the results.
@@ -31,8 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostModel, aggregate_optimum, optimum_curvatures, sample_cost
-from .dynamics import SimConfig, TrialTrace, initialize, run_trials, stability_max_step
+from .costs import CostModel, OptimumCertificate, aggregate_optimum, \
+    optimum_curvatures, sample_cost
+from .dynamics import NodeState, SimConfig, TrialTrace, initialize, run_trials, \
+    stability_max_step
 from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
 from .generators import BaParams, HkParams, _is_int, generate_ba, generate_hk
 from .graph_io import read_graph
@@ -257,11 +257,16 @@ class ScatterRow:
     rate: float | None
 
 
-class _Grown(NamedTuple):
-    """One trial's growth, kept between the step-size and integration passes."""
+class _Trial(NamedTuple):
+    """One built trial, held until its label integrates: no Graph, no CSR."""
 
+    index: int
     edges: np.ndarray  # canonical (E, 2) int32: 8 bytes per edge
-    rng_state: dict    # the (label, trial) generator right after growth
+    weights: np.ndarray
+    model: CostModel
+    state: NodeState
+    optimum: OptimumCertificate
+    metrics: tuple[float, float, float]  # clustering, mean degree, lambda2
 
 
 def _splitmix64(z: int) -> int:
@@ -294,20 +299,14 @@ def _generate_topology(topo: TopologySpec, rng: np.random.Generator,
 
 
 def _trial_graph(cfg: McConfig, topo: TopologySpec, label_index: int,
-                 trial_index: int, file_cache: dict,
-                 grown: _Grown | None = None):
+                 trial_index: int, file_cache: dict):
     """Unit-weight graph of one trial and its (label, trial) generator.
 
     The generator is left where growth left it, ready for the weight draws.
-    ``grown`` rebuilds the graph and that position from an earlier growth of
-    the same trial instead of growing again.
     """
     rng = np.random.default_rng(
         trial_seed(cfg.base_seed, label_index, trial_index))
-    if grown is None:
-        return _generate_topology(topo, rng, file_cache), rng
-    rng.bit_generator.state = grown.rng_state
-    return Graph(topo.n, grown.edges, np.ones(grown.edges.shape[0])), rng
+    return _generate_topology(topo, rng, file_cache), rng
 
 
 def _trial_inputs(cfg: McConfig, g: Graph, rng: np.random.Generator,
@@ -358,39 +357,35 @@ def _all_failed(cfg: McConfig, topo: TopologySpec) -> ClustoptError:
         f"all {cfg.trials} trials of label {topo.label!r} failed")
 
 
-def _campaign_step_size(cfg: McConfig,
-                        file_cache: dict) -> tuple[float, dict[str, list]]:
-    """Half the most conservative stability bound over the trials that build.
+def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
+                 file_cache: dict) -> tuple[list[_Trial], list, float]:
+    """Every trial of one label, built once, with the label's error ledger
+    and the smallest stability bound over its trials.
 
-    This pass is the only one that grows graphs.  Per label it returns one
-    entry per trial for the integration pass: the trial's :class:`_Grown`
-    growth, ``None`` for a file topology (its graph stays in
-    ``file_cache``), or the :class:`ClustoptError` that building the
-    trial's inputs raised.  A label none of whose trials builds raises.
+    A trial's bound is taken once its inputs build, so a later failure of
+    its optimum or a metric still counts toward ``h``.  A
+    :class:`ClustoptError` at any step goes to the ledger; a label none of
+    whose trials builds raises.
     """
+    shared = _shared_model(cfg, topo, label_index, file_cache)
+    trials: list[_Trial] = []
+    errors: list[tuple[int, str, str]] = []
     bound = np.inf
-    kept: dict[str, list] = {}
-    for topo in cfg.topologies:
-        li = _label_rank(cfg, topo.label)
-        shared = _shared_model(cfg, topo, li, file_cache)
-        trials = kept[topo.label] = []
-        for ti in range(cfg.trials):
-            try:
-                g, rng = _trial_graph(cfg, topo, li, ti, file_cache)
-                grown = None if topo.model == "file" else _Grown(
-                    g.edges.astype(np.int32), rng.bit_generator.state)
-                wg, model, state = _trial_inputs(cfg, g, rng, ti, shared)
-            except ClustoptError as exc:
-                # without its frames, which would keep the trial's graph alive
-                trials.append(exc.with_traceback(None))
-                continue
-            trials.append(grown)
+    for ti in range(cfg.trials):
+        try:
+            g, rng = _trial_graph(cfg, topo, label_index, ti, file_cache)
+            wg, model, state = _trial_inputs(cfg, g, rng, ti, shared)
             bound = min(bound, stability_max_step(wg, cfg.sim.alpha, model, state))
-        if all(isinstance(t, ClustoptError) for t in trials):
-            raise _all_failed(cfg, topo)
-    if not np.isfinite(bound):
-        raise InvalidParamsError("stability bound is unbounded; set sim.h explicitly")
-    return 0.5 * bound, kept
+            trials.append(_Trial(
+                ti, wg.edges.astype(np.int32), wg.weights, model, state,
+                aggregate_optimum(model),
+                (global_clustering(wg).global_mean, 2.0 * wg.edge_count / wg.n,
+                 lambda2_laplacian(wg))))
+        except ClustoptError as exc:
+            errors.append((ti, exc.code, str(exc)))
+    if not trials:
+        raise _all_failed(cfg, topo)
+    return trials, errors, bound
 
 
 def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
@@ -399,58 +394,47 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
     Trials with non-finite states are excluded from every mean and counted
     as diverged; domain errors, also from a trial's metrics or optimum, go
     to the per-label error ledger.  A label where no trial succeeds aborts
-    the campaign.  A label's trials integrate in one ``run_trials`` call.
+    the campaign.
 
-    Each trial's graph is grown once.  With ``sim.h`` unset, the step-size
-    pass keeps each grown trial's edges as int32 (8 bytes per edge per
-    trial) and its generator state, and the integration pass rebuilds the
-    trial from them.
+    Every label's trials are built first, each once and by the same code
+    whether or not ``sim.h`` is set; with it unset, ``h`` is half the
+    smallest stability bound over them.  A built trial keeps its int32
+    edges (8 bytes per edge), weights, model, state, optimum and metrics,
+    no graph and no CSR matrix.  A label's trials then integrate in one
+    ``run_trials`` call on Laplacians rebuilt from those records, and the
+    records are dropped once the label is done.
     """
     cfg.validate()
     file_cache: dict = {}
-    if cfg.sim.h is None:
-        h, kept = _campaign_step_size(cfg, file_cache)
-    else:
-        h, kept = cfg.sim.h, {}
+    ranks = [_label_rank(cfg, topo.label) for topo in cfg.topologies]
+    built = {topo.label: _build_label(cfg, topo, li, file_cache)
+             for topo, li in zip(cfg.topologies, ranks)}
+    h = cfg.sim.h
+    if h is None:
+        bound = min(b for *_, b in built.values())
+        if not np.isfinite(bound):
+            raise InvalidParamsError(
+                "stability bound is unbounded; set sim.h explicitly")
+        h = 0.5 * bound
     sim = replace(cfg.sim, h=h)
 
     labels: list[LabelSummary] = []
     per_trial_gaps: dict[str, np.ndarray] = {}
-    for topo in cfg.topologies:
-        li = _label_rank(cfg, topo.label)
-        shared = _shared_model(cfg, topo, li, file_cache)
-        grown = kept.get(topo.label, [None] * cfg.trials)
-        seeds: list[int] = []
-        errors: list[tuple[int, str, str]] = []
-        # the only holder of the label's Laplacians: the next label frees them
-        built = []  # (trial, Laplacian, model, state, optimum, metrics)
-        for ti in range(cfg.trials):
-            seeds.append(trial_seed(cfg.base_seed, li, ti))
-            record = grown[ti]
-            try:
-                if isinstance(record, ClustoptError):
-                    raise record  # the step-size pass met it; ledger it once
-                g, rng = _trial_graph(cfg, topo, li, ti, file_cache, record)
-                wg, model, state = _trial_inputs(cfg, g, rng, ti, shared)
-                built.append((ti, laplacian_sparse(wg), model, state,
-                              aggregate_optimum(model),
-                              (global_clustering(wg).global_mean,
-                               2.0 * wg.edge_count / wg.n,
-                               lambda2_laplacian(wg))))
-            except ClustoptError as exc:
-                errors.append((ti, exc.code, str(exc)))
-        if not built:
-            raise _all_failed(cfg, topo)
+    for topo, li in zip(cfg.topologies, ranks):
+        trials, errors, _ = built.pop(topo.label)
         traces: list[TrialTrace] = []
         kept_metrics = []
-        for (ti, *_, metric), trace in zip(
-                built, run_trials(*zip(*(b[1:5] for b in built)), sim)):
+        for t, trace in zip(trials, run_trials(  # Laplacians live for the call
+                [laplacian_sparse(Graph(t.model.n, t.edges, t.weights))
+                 for t in trials],
+                [t.model for t in trials], [t.state for t in trials],
+                [t.optimum for t in trials], sim)):
             if trace.diverged:
                 logger.warning("label %s trial %d diverged at h=%g",
-                               topo.label, ti, h)
+                               topo.label, t.index, h)
                 continue
             traces.append(trace)
-            kept_metrics.append(metric)
+            kept_metrics.append(t.metrics)
         if not traces:
             raise _all_failed(cfg, topo)
         clusterings, avg_degrees, lambda2s = zip(*kept_metrics)
@@ -471,8 +455,9 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
             mean_avg_degree=float(np.mean(avg_degrees)),
             mean_lambda2=float(np.mean(lambda2s)),
             trial_count=len(traces),
-            diverged_count=len(built) - len(traces),
-            seeds=seeds,
+            diverged_count=len(trials) - len(traces),
+            seeds=[trial_seed(cfg.base_seed, li, ti)
+                   for ti in range(cfg.trials)],
             errors=errors,
         ))
         if keep_trial_gaps:

@@ -63,10 +63,11 @@ DEFAULT_SIZE_CAP = 20000
 # Gershgorin bound on the largest Laplacian eigenvalue.  A Laplacian
 # eigenvalue lies within the residual norm of the returned value.
 LOBPCG_TOL = 1e-10
-# The slowest graphs measured are paths and cycles, at 1.3 (cycle) and 2.3
-# (path) iterations per node at n = 900 and 1.7 and 2.0 at n = 3000;
-# weighted scale-free graphs at n = 3000 need 66-180 iterations in all.
-LOBPCG_ITERS_PER_NODE = 10
+# The slowest graphs measured are paths with weights exp(U(-3, 3)): over 320
+# of them at n = 820-1500 one needed 20.6 iterations per node and every other
+# one at most 20.  Unit-weight paths and cycles need at most 2.3, and
+# weighted scale-free graphs at n = 3000 66-180 iterations in all.
+LOBPCG_ITERS_PER_NODE = 21
 # Order up to which the rate measure solves the dense Jacobian.  A speed
 # crossover: the matrix-free path is faster above it (see convergence_rate).
 RATE_DENSE_LIMIT = 175
@@ -232,8 +233,9 @@ def _lobpcg(lap: np.ndarray | sp.spmatrix, deg: np.ndarray,
     rows (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).  The new P is
     the W and P part of the new X.  Where that Gram matrix is not positive
     definite, P is left out for the step; where that of X and W is not,
-    ``ConvergenceError``.  Stops when the smallest pair's residual norm is
-    at most ``tol``, else returns its pair after ``maxiter`` iterations.
+    ``ConvergenceError``.  Stops when the smallest pair's residual norm,
+    also against a fresh product, is at most ``tol``, else returns its pair
+    after ``maxiter`` iterations.
     """
     n = lap.shape[0]
     # rows 0-1 X (Ritz vectors), 2-3 W (preconditioned residuals), 4-5 P
@@ -268,7 +270,10 @@ def _lobpcg(lap: np.ndarray | sp.spmatrix, deg: np.ndarray,
         both[:, :2] = x
         r = ls[:2] - theta[:2, None] * s[:2]
         if np.linalg.norm(r[0]) <= tol:
-            break
+            ls[0] = lap @ s[0]  # the updated product drifts: check a fresh one
+            r[0] = ls[0] - theta[0] * s[0]
+            if np.linalg.norm(r[0]) <= tol:
+                break
         s[2:4] = r / deg
         deflate(s[2:4])
         ls[2], ls[3] = lap @ s[2], lap @ s[3]

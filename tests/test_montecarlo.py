@@ -186,16 +186,22 @@ def _assert_same_summary(a, b):
 class TestOneGrowthPerTrial:
     @pytest.mark.parametrize("h", [None, 0.01])
     def test_grows_labels_times_trials_graphs(self, monkeypatch, h):
-        from clustopt import generators
+        """Each trial's graph is grown, and its inputs are built, once."""
+        from clustopt import generators, montecarlo
 
-        calls = []
-        grow = generators._grow
+        calls, inits = [], []
+        grow, initialize = generators._grow, montecarlo.initialize
 
         def counting_grow(*args):
             calls.append(args[0])
             return grow(*args)
 
+        def counting_initialize(*args):
+            inits.append(args[0])
+            return initialize(*args)
+
         monkeypatch.setattr(generators, "_grow", counting_grow)
+        monkeypatch.setattr(montecarlo, "initialize", counting_initialize)
         cfg = McConfig(
             topologies=(TopologySpec("BA", "ba", n=40, links=3),
                         TopologySpec("HK", "hk", n=40, links=3,
@@ -207,12 +213,12 @@ class TestOneGrowthPerTrial:
         )
         run_mc(cfg)
         assert len(calls) == 2 * 4
+        assert len(inits) == 2 * 4
 
     @pytest.mark.parametrize("case", ["ba", "hk", "file", "once"])
-    def test_rebuilt_inputs_match_fresh_growth(self, tmp_path, case):
-        """``h: null`` rebuilds trials from kept edges and generator states;
-        an explicit ``h`` grows them afresh.  At the same ``h`` the two
-        campaigns must agree bit for bit."""
+    def test_derived_h_matches_the_same_h_given(self, tmp_path, case):
+        """A campaign that derives ``h`` and one given that ``h`` agree bit
+        for bit."""
         from clustopt.graph_io import write_graph
         from clustopt.generators import BaParams, generate_ba
 
@@ -237,8 +243,16 @@ class TestOneGrowthPerTrial:
         _assert_same_summary(derived, fresh)
 
     @pytest.mark.parametrize("h", [None, 1e-3])
-    def test_failed_label_raises_the_same_error_for_any_h(self, tmp_path, h):
+    def test_failed_label_raises_the_same_error_for_any_h(
+            self, tmp_path, monkeypatch, h):
+        """``D`` is disconnected and raised.  Once every metric of ``A``,
+        declared before it, fails too, ``A`` is the one raised."""
+        from clustopt import montecarlo
+        from clustopt.errors import ConvergenceError
         from clustopt.graph_io import write_graph
+
+        def failing_lambda2(g):
+            raise ConvergenceError("no lambda2")
 
         path = tmp_path / "disc.json"
         write_graph(build_graph([(0, 1, 1), (2, 3, 1)], n=4), str(path))
@@ -250,10 +264,14 @@ class TestOneGrowthPerTrial:
             trials=2,
             base_seed=1,
         )
-        with pytest.raises(ClustoptError) as info:
-            run_mc(cfg)
-        assert info.value.code == "error"
-        assert str(info.value) == "all 2 trials of label 'D' failed"
+        for failing in ("D", "A"):
+            if failing == "A":
+                monkeypatch.setattr(montecarlo, "lambda2_laplacian",
+                                    failing_lambda2)
+            with pytest.raises(ClustoptError) as info:
+                run_mc(cfg)
+            assert info.value.code == "error"
+            assert str(info.value) == f"all 2 trials of label {failing!r} failed"
 
     def test_failed_trial_is_ledgered_once_and_left_out_of_h(
             self, monkeypatch):

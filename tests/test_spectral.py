@@ -136,6 +136,16 @@ class TestLambda2:
         vals = np.linalg.eigvalsh(laplacian(g))
         assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
 
+    @pytest.mark.parametrize("n, seed", [(900, 0), (820, 56)])
+    def test_sparse_path_weighted_chain_matches_dense(self, n, seed):
+        # weights spread over e^6 make a path the slowest graph measured:
+        # the first needs 11.3 iterations per node, and the second's updated
+        # product drifts above the tolerance where it reads converged
+        w = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, n - 1))
+        g = Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))), w)
+        vals = np.linalg.eigvalsh(laplacian(g))
+        assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
+
     def test_clustered_scale_free_matches_dense(self, clustered_hk):
         g, vals = clustered_hk
         assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
