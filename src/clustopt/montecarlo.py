@@ -10,7 +10,9 @@ independent of execution order.
 
 Each trial is built once, whether or not the step size is set: a first
 pass grows every label's trials, builds their weights, cost models and
-initial states, and takes their stability bounds, optima and metrics.  When
+initial states, and takes their stability bounds, optima and metrics; the
+algebraic connectivity of all of a label's trials comes from one stacked
+solve on their disjoint union.  When
 the step size is left unset, the campaign integrates with half the most
 conservative of those bounds, so every label shares one step size.  Each
 label's built trials then integrate as one stacked system.
@@ -28,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum, \
     optimum_curvatures, sample_cost
@@ -38,7 +41,7 @@ from .generators import BaParams, HkParams, _is_int, generate_ba, generate_hk
 from .graph_io import read_graph
 from .graphs import Graph, assign_random_weights, global_clustering, is_connected, \
     laplacian_sparse
-from .spectral import lambda2_laplacian, spectral_report
+from .spectral import lambda2_blocks, spectral_report
 
 logger = logging.getLogger(__name__)
 
@@ -266,7 +269,7 @@ class _Trial(NamedTuple):
     model: CostModel
     state: NodeState
     optimum: OptimumCertificate
-    metrics: tuple[float, float, float]  # clustering, mean degree, lambda2
+    metrics: tuple[float, ...]  # clustering, mean degree, lambda2 once solved
 
 
 def _splitmix64(z: int) -> int:
@@ -357,15 +360,35 @@ def _all_failed(cfg: McConfig, topo: TopologySpec) -> ClustoptError:
         f"all {cfg.trials} trials of label {topo.label!r} failed")
 
 
+def _union_laplacian(trials: list[_Trial]) -> sp.csr_matrix:
+    """CSR Laplacian of the disjoint union of the trials' graphs, trial j on
+    nodes ``j * n`` to ``j * n + n - 1``; filled one trial at a time, so no
+    more than one trial's own Laplacian lives beside it."""
+    n, m = trials[0].model.n, len(trials)
+    nnz = sum(2 * len(t.edges) + n for t in trials)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=np.int32)
+    indptr, at = np.empty(m * n + 1, dtype=np.int64), 0
+    for j, t in enumerate(trials):
+        lap = laplacian_sparse(Graph(n, t.edges, t.weights))
+        data[at:at + lap.nnz] = lap.data
+        indices[at:at + lap.nnz] = lap.indices + j * n
+        indptr[j * n:(j + 1) * n] = lap.indptr[:-1] + at
+        at += lap.nnz
+    indptr[-1] = at
+    return sp.csr_matrix((data, indices, indptr), shape=(m * n, m * n))
+
+
 def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
                  file_cache: dict) -> tuple[list[_Trial], list, float]:
     """Every trial of one label, built once, with the label's error ledger
     and the smallest stability bound over its trials.
 
     A trial's bound is taken once its inputs build, so a later failure of
-    its optimum or a metric still counts toward ``h``.  A
-    :class:`ClustoptError` at any step goes to the ledger; a label none of
-    whose trials builds raises.
+    its optimum or a metric still counts toward ``h``.  The lambda2 of every
+    built trial comes from one :func:`lambda2_blocks` call after the loop,
+    on the Laplacian of their disjoint union.  A :class:`ClustoptError` at
+    any step goes to the ledger, in trial order; a label none of whose
+    trials builds raises.
     """
     shared = _shared_model(cfg, topo, label_index, file_cache)
     trials: list[_Trial] = []
@@ -379,10 +402,19 @@ def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
             trials.append(_Trial(
                 ti, wg.edges.astype(np.int32), wg.weights, model, state,
                 aggregate_optimum(model),
-                (global_clustering(wg).global_mean, 2.0 * wg.edge_count / wg.n,
-                 lambda2_laplacian(wg))))
+                (global_clustering(wg).global_mean, 2.0 * wg.edge_count / wg.n)))
         except ClustoptError as exc:
             errors.append((ti, exc.code, str(exc)))
+    if trials:
+        solved = zip(trials, lambda2_blocks(_union_laplacian(trials),
+                                            len(trials)))
+        trials = []
+        for t, lam2 in solved:
+            if isinstance(lam2, ClustoptError):
+                errors.append((t.index, lam2.code, str(lam2)))
+            else:
+                trials.append(t._replace(metrics=(*t.metrics, lam2)))
+        errors.sort(key=lambda e: e[0])
     if not trials:
         raise _all_failed(cfg, topo)
     return trials, errors, bound

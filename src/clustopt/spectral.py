@@ -26,7 +26,8 @@ to the component indicators, and the rate is read off a Jacobian whose
 structural zeros a rank-one shift per component has moved far left (see
 :func:`convergence_rate`).  Each has a dense solver for small orders and a
 sparse one above them; the sparse Laplacian gap is this module's own block
-LOBPCG (:func:`_lobpcg`).
+LOBPCG (:func:`_lobpcg`), which solves the gaps of many graphs of one order
+in one run, each with the bits it has alone (:func:`lambda2_blocks`).
 """
 
 from __future__ import annotations
@@ -50,14 +51,16 @@ from .errors import (
 )
 from .graphs import Graph, laplacian_sparse
 
-# Order up to which the Laplacian gap uses the dense solver.  Not a
-# correctness limit, and no longer the speed crossover: median CPU of one
+# Order up to which the Laplacian gap uses the dense solver: the speed
+# crossover of one graph alone, not a correctness limit.  Median CPU of one
 # dsyevr eigenvalue against _lobpcg on eight weighted BA and HK graphs
-# (links=6) is 15 against 14 ms at n = 500, 35 against 13 ms at n = 700,
-# 48 against 14 ms at n = 800 and 90 against 16 ms at n = 1000 (2 vCPU Xeon,
-# one thread).  It stays at 800: lowering it would move lambda2 of graphs
-# of lower order, and with it campaign summaries, in the last bits.
-DENSE_LIMIT = 800
+# (links=6, best of 5; 2 vCPU Xeon, one BLAS thread): 5.7 against 14.8 ms
+# at n = 300, 10.0 against 11.9 ms at 400, 13.1 against 15.3 ms at 450,
+# 16.3 against 15.9 ms at 500, 24.4 against 15.0 ms at 600 and 51.5 against
+# 21.2 ms at 800.  Graphs solved as one stack (lambda2_blocks) cost less
+# each: 20 at n = 500 about 8 ms each.  Above the limit lambda2 has the same
+# bits for any BLAS thread count; the dsyevr branch below it does not.
+DENSE_LIMIT = 450
 DEFAULT_SIZE_CAP = 20000
 # LOBPCG stops once the residual norm is below LOBPCG_TOL times the
 # Gershgorin bound on the largest Laplacian eigenvalue.  A Laplacian
@@ -167,37 +170,85 @@ def lambda2_laplacian(g: Graph) -> float:
     raised when its residual is still above ``LOBPCG_TOL`` times twice the
     largest weighted degree after ``LOBPCG_ITERS_PER_NODE * n``
     iterations.  Values within 1e-12 times that bound of the structural
-    zero are clamped to exactly 0.
+    zero are clamped to exactly 0.  This is :func:`lambda2_blocks` of one
+    graph.
     """
-    lap = laplacian_sparse(g)
+    return _only(lambda2_blocks(laplacian_sparse(g), 1))
+
+
+def lambda2_blocks(lap: sp.csr_matrix,
+                   m: int) -> list[float | ConvergenceError]:
+    """:func:`lambda2_laplacian` of each of ``m`` graphs of one order ``n``,
+    given as the CSR Laplacian ``lap`` of their disjoint union: graph b is
+    nodes ``b * n`` to ``b * n + n - 1``.
+
+    Above ``DENSE_LIMIT`` the connected graphs are solved in one stacked
+    :func:`_lobpcg` run, and each value has the bits of its graph solved
+    alone.  A graph whose solve fails has its ``ConvergenceError`` in its
+    place; the others keep their values.
+    """
+    n = lap.shape[0] // m
     comps = connected_components(lap, directed=False)
-    if g.n <= 1 or comps[0] > 1:
-        return 0.0
-    return _clamped(*_laplacian_gap(lap, comps))
+    labels = comps[1].reshape(m, n)
+    lam2: list = [0.0] * m
+    connected = (labels == labels[:, :1]).all(axis=1) & (n > 1)
+    if not connected.any():
+        return lam2
+    if not connected.all():  # a disconnected graph leaves the stack
+        lap, comps = _blocks(lap, n, connected), None
+    for b, gap in zip(np.flatnonzero(connected),
+                      _laplacian_gap(lap, comps, connected.sum())):
+        lam2[b] = gap if isinstance(gap, ConvergenceError) else _clamped(*gap)
+    return lam2
+
+
+def _blocks(lap: sp.csr_matrix, n: int, keep: np.ndarray) -> sp.csr_matrix:
+    """The diagonal blocks ``keep`` (a mask) of a block-diagonal CSR matrix
+    of order-n blocks, as one such matrix with each row's entries in order."""
+    counts = np.diff(lap.indptr[::n])  # entries per block
+    entries, rows = np.repeat(keep, counts), np.diff(lap.indptr).reshape(-1, n)
+    moved = n * (np.flatnonzero(keep) - np.arange(np.count_nonzero(keep)))
+    indices = lap.indices[entries]
+    indices -= np.repeat(moved.astype(indices.dtype), counts[keep])
+    return sp.csr_matrix((lap.data[entries], indices, np.concatenate(
+        ([0], np.cumsum(rows[keep])))), shape=(n * moved.size,) * 2)
+
+
+def _only(results: list):
+    """The one entry of a one-block result, or its error raised."""
+    (result,) = results
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 def _clamped(lam2: float, scale: float) -> float:
     return 0.0 if abs(lam2) <= 1e-12 * max(1.0, scale) else lam2
 
 
-def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
-                   comps: tuple | None = None) -> tuple[float, float]:
+def _laplacian_gap(lap: np.ndarray | sp.spmatrix, comps: tuple | None = None,
+                   m: int = 1) -> list[tuple[float, float] | ConvergenceError]:
     """Smallest Laplacian eigenvalue orthogonal to the component indicators,
-    with the Gershgorin bound on the largest, the scale of its rounding.
+    with the Gershgorin bound on the largest, the scale of its rounding, for
+    each of the ``m`` diagonal blocks of ``lap``, all of one order; a block
+    whose solve fails has its ``ConvergenceError`` in its place.
 
     ``comps`` is ``connected_components(lap)`` where the caller has it.  Up
-    to ``DENSE_LIMIT``: eigenvalue ``ncomp`` by LAPACK ``dsyevr``; above it,
-    :func:`_lobpcg`, kept off the indicators by subtracting each component's
-    mean, and a residual check on its result against a fresh product.
-    Isolated nodes are dropped first.  ``AllZeroError`` when every node is
-    its own component.
+    to ``DENSE_LIMIT``: each block's eigenvalue ``ncomp`` by LAPACK
+    ``dsyevr``; above it, one :func:`_lobpcg` run on the whole stack, kept
+    off the indicators by subtracting each component's mean.  Isolated
+    nodes, which only a lone block (m = 1) may have, are dropped first.
+    ``AllZeroError`` when every node is its own component.
     """
-    n = lap.shape[0]
+    n = lap.shape[0] // m
+    if n <= DENSE_LIMIT and m > 1:  # one dense solve per block
+        return [gap for b in range(0, m * n, n)
+                for gap in _laplacian_gap(lap[b:b + n, b:b + n])]
     ncomp, labels = comps or connected_components(lap, directed=False)
-    if ncomp == n:
+    if ncomp == lap.shape[0]:
         raise AllZeroError("all Laplacian eigenvalues are structurally zero")
     deg = lap.diagonal()
-    scale = 2.0 * float(deg.max())
+    scale = 2.0 * deg.reshape(m, n).max(axis=1)
     if n <= DENSE_LIMIT:
         _check_symmetric(lap)  # a tenth of the cost of the dense check
         a = lap.toarray() if sp.issparse(lap) else np.array(lap)
@@ -205,80 +256,129 @@ def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
             gap = sla.eigvalsh(a, subset_by_index=[ncomp, ncomp], driver="evr",
                                overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(str(exc)) from exc
-        return float(gap[0]), scale
+            return [ConvergenceError(str(exc))]
+        return [(float(gap[0]), float(scale[0]))]
     sizes = np.bincount(labels)
     if sizes.min() == 1:  # isolated nodes add only exact zeros
         keep = sizes[labels] > 1
         return _laplacian_gap(lap[keep][:, keep])
-    tol = LOBPCG_TOL * scale
-    maxiter = math.ceil(LOBPCG_ITERS_PER_NODE * n)
-    gap, x = _lobpcg(lap, deg, labels, sizes, tol, maxiter)
-    resid = float(np.linalg.norm(lap @ x - gap * x) / np.linalg.norm(x))
-    if not resid <= tol:
-        raise ConvergenceError(
-            f"LOBPCG residual {resid:.3g} above {tol:.3g} "
-            f"after {maxiter} iterations")
-    return gap, scale
+    gaps = _lobpcg(lap, m, labels, sizes, LOBPCG_TOL * scale,
+                   math.ceil(LOBPCG_ITERS_PER_NODE * n))
+    return [gap if isinstance(gap, ConvergenceError) else (gap, float(s))
+            for gap, s in zip(gaps, scale)]
 
 
-def _lobpcg(lap: np.ndarray | sp.spmatrix, deg: np.ndarray,
-            labels: np.ndarray, sizes: np.ndarray, tol: float,
-            maxiter: int) -> tuple[float, np.ndarray]:
-    """Smallest Ritz pair of ``lap`` off the component indicators.
+def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
+            sizes: np.ndarray, tol: np.ndarray,
+            maxiter: int) -> list[float | ConvergenceError]:
+    """Smallest Ritz value off the component indicators in each of the
+    ``m`` diagonal blocks of ``lap``, all of one order.
 
-    LOBPCG with a block of two: each iteration runs Rayleigh-Ritz on the
-    Ritz vectors X, their Jacobi-preconditioned residuals W and the last
-    steps P, through a Cholesky factor of their Gram matrix scaled to unit
-    rows (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).  The new P is
-    the W and P part of the new X.  Where that Gram matrix is not positive
-    definite, P is left out for the step; where that of X and W is not,
-    ``ConvergenceError``.  Stops when the smallest pair's residual norm,
-    also against a fresh product, is at most ``tol``, else returns its pair
-    after ``maxiter`` iterations.
+    LOBPCG with a block of two per diagonal block: each iteration runs
+    Rayleigh-Ritz on the Ritz vectors X, their Jacobi-preconditioned
+    residuals W and the last steps P, through a Cholesky factor of their
+    Gram matrix scaled to unit rows (Hetmaniuk & Lehoucq, J. Comput. Phys.
+    218, 2006).  The new P is the W and P part of the new X.  Where that
+    Gram matrix is not positive definite, P is left out for the step; where
+    that of X and W is not, the block fails with ``ConvergenceError``.  A
+    block stops when its smallest pair's residual norm, also against a
+    fresh product, is at most its ``tol``, and fails after ``maxiter``
+    iterations.  All of this is per block, and the sparse products are row
+    by row, so a block gets the bits it gets alone; it leaves the stack
+    once it stops.
     """
-    n = lap.shape[0]
+    n = lap.shape[0] // m
+    live, res = np.arange(m), np.full(m, np.inf)  # the stacked blocks
+    whole, every, out = lap, labels, [None] * m
+    deg = lap.diagonal().reshape(m, n)
     # rows 0-1 X (Ritz vectors), 2-3 W (preconditioned residuals), 4-5 P
-    # (last steps) in ``s``; their Laplacian products in ``ls``
-    both = np.zeros((2, 6, n))
+    # (last steps) of every block in ``s``; their Laplacian products in ``ls``
+    both = np.zeros((2, 6, m, n))
     s, ls = both
-    flat = both.reshape(12, n)
+
+    def product(rows: np.ndarray) -> np.ndarray:  # one row of every block
+        return (lap @ rows.ravel()).reshape(rows.shape)
 
     def deflate(rows: np.ndarray) -> None:  # subtract each component's mean
         for r in rows:
-            r -= (np.bincount(labels, r) / sizes)[labels]
+            r -= (np.bincount(labels, r.ravel(), sizes.size)
+                  / sizes)[labels].reshape(r.shape)
 
-    s[:2] = np.random.default_rng(0).standard_normal((2, n))
+    s[:2] = np.random.default_rng(0).standard_normal((2, 1, n))
     deflate(s[:2])
-    ls[0], ls[1] = lap @ s[0], lap @ s[1]
-    k = 2  # rows in the basis: X, then W, then P
+    ls[0], ls[1] = product(s[0]), product(s[1])
+    k = 2  # rows in each block's basis: X, then W, then P
     for _ in range(maxiter):
-        q = s[:k] @ flat.T  # the Gram matrix and the projected Laplacian
-        d = 1.0 / np.sqrt(q.diagonal())
-        try:  # Rayleigh-Ritz in the basis scaled to unit rows
-            ci = np.linalg.inv(np.linalg.cholesky(q[:, :k] * d * d[:, None]))
-        except np.linalg.LinAlgError:
-            if k < 6:
-                raise ConvergenceError("LOBPCG basis lost rank") from None
-            k = 4  # P nearly in the span of X and W: drop it for this step
-            continue
-        theta, v = np.linalg.eigh(ci @ (q[:, 6:6 + k] * d * d[:, None]) @ ci.T)
-        y = d[:, None] * (ci.T @ v[:, :2])
-        x = y.T @ both[:, :k]
-        if k > 2:  # new P: the W and P parts of the new X
-            both[:, 4:6] = y[2:].T @ both[:, 2:k]
-        both[:, :2] = x
-        r = ls[:2] - theta[:2, None] * s[:2]
-        if np.linalg.norm(r[0]) <= tol:
-            ls[0] = lap @ s[0]  # the updated product drifts: check a fresh one
-            r[0] = ls[0] - theta[0] * s[0]
-            if np.linalg.norm(r[0]) <= tol:
-                break
+        basis = both.reshape(12, live.size, n).transpose(1, 0, 2)
+        # per block, the Gram matrix and the projected Laplacian
+        q = basis[:, :6] @ basis.transpose(0, 2, 1)
+        theta, y, ok = _ritz(q, k)
+        if k == 6 and not ok.all():  # P nearly in the span of X and W:
+            drop = ~ok               # drop it for this step
+            theta[drop], y4, ok[drop] = _ritz(q[drop], 4)
+            y[drop] = np.pad(y4, ((0, 0), (0, 2), (0, 0)))
+        yt = y.transpose(0, 2, 1)[:, None]
+        cols = both[:, :k].transpose(2, 0, 1, 3)
+        p = yt[..., 2:] @ cols[:, :, 2:]  # new P: the W and P parts of new X
+        both[:, :2] = (yt @ cols).transpose(1, 2, 0, 3)
+        both[:, 4:6] = p.transpose(1, 2, 0, 3)
+        r = ls[:2] - theta.T[..., None] * s[:2]
+        res = np.linalg.norm(r[0], axis=-1)
+        stop = ok & (res <= tol)  # the updated product drifts: check a
+        if stop.any():            # fresh one, in the blocks that pass only
+            ls[0, stop] = product(s[0])[stop]
+            r[0, stop] = ls[0, stop] - theta[stop, :1] * s[0, stop]
+            res[stop] = np.linalg.norm(r[0, stop], axis=-1)
+            stop &= res <= tol
+        keep = ok & ~stop
+        if not keep.all():  # the others stop and leave the stack
+            for b, lam, good in zip(live[~keep], theta[~keep, 0], ok[~keep]):
+                out[b] = (float(lam) if good
+                          else ConvergenceError("LOBPCG basis lost rank"))
+            if not keep.any():
+                return out
+            for i, b in enumerate(np.flatnonzero(keep)):  # in place
+                both[:, :, i] = both[:, :, b]
+            live, tol, res, r = live[keep], tol[keep], res[keep], r[:, keep]
+            both, deg = both[:, :, :live.size], deg[keep]
+            s, ls = both
+            alive = np.isin(np.arange(m), live)
+            lap = None  # one restacked matrix at a time, cut from the whole
+            lap, labels = _blocks(whole, n, alive), every[alive.repeat(n)]
         s[2:4] = r / deg
         deflate(s[2:4])
-        ls[2], ls[3] = lap @ s[2], lap @ s[3]
+        ls[2], ls[3] = product(s[2]), product(s[3])
         k = 6 if k > 2 else 4
-    return float(theta[0]), s[0]
+    for b, resid, t in zip(live, res, tol):
+        out[b] = ConvergenceError(f"LOBPCG residual {resid:.3g} above "
+                                  f"{t:.3g} after {maxiter} iterations")
+    return out
+
+
+def _ritz(q: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Rayleigh-Ritz of each block in its first ``k`` basis rows scaled to
+    unit rows: the two smallest Ritz values, their coefficients, and whether
+    the block's Gram matrix is positive definite."""
+    q = q[:, :k]
+    d = 1.0 / np.sqrt(q.diagonal(0, 1, 2))
+    cols, rows = d[:, None], d[..., None]
+    c, ok = _cholesky(q[..., :k] * cols * rows)
+    ci = np.linalg.inv(c)
+    cit = ci.transpose(0, 2, 1)
+    theta, v = np.linalg.eigh(ci @ (q[..., 6:6 + k] * cols * rows) @ cit)
+    return theta[:, :2], rows * (cit @ v[..., :2]), ok
+
+
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of matrices, with the identity in place
+    of each one that is not positive definite, and which ones are."""
+    try:
+        return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.eye(a.shape[-1])[None], np.zeros(1, dtype=bool)
+        c, ok = zip(*(_cholesky(a[i:i + 1]) for i in range(len(a))))
+        return np.concatenate(c), np.concatenate(ok)
 
 
 def build_jacobian(spec: JacobianSpec) -> np.ndarray:
@@ -356,7 +456,7 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
 
     h = spec.hessian_diag
     if not h.any():
-        return _laplacian_gap(lap)[0]
+        return _only(_laplacian_gap(lap))[0]
 
     n = lap.shape[0]
     if 2 * n > DEFAULT_SIZE_CAP:
@@ -418,11 +518,12 @@ def spectral_report(g: Graph, alpha: float,
     with one Laplacian gap solve: without curvatures the rate is that gap."""
     lap = laplacian_sparse(g)
     comps = connected_components(lap, directed=False)
-    gap = _laplacian_gap(lap, comps) if g.n > 1 and comps[0] == 1 else None
+    gap = (_only(_laplacian_gap(lap, comps)) if g.n > 1 and comps[0] == 1
+           else None)
     h = (np.zeros(g.n) if hessian_diag is None
          else np.asarray(hessian_diag, dtype=np.float64))
     spec = JacobianSpec(laplacian=lap, alpha=alpha, hessian_diag=h)
     rate = (convergence_rate(spec) if spec.hessian_diag.any()
-            else (gap or _laplacian_gap(lap, comps))[0])
+            else (gap or _only(_laplacian_gap(lap, comps)))[0])
     return SpectralReport(lambda2_laplacian=_clamped(*gap) if gap else 0.0,
                           rate=rate, alpha=alpha, n=g.n)

@@ -1,8 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import clustopt
 from clustopt.cli import main
 from clustopt.dynamics import SimConfig, run
 from clustopt.errors import (
@@ -27,6 +32,7 @@ from clustopt.graph_io import (
 from clustopt.graphs import build_graph, global_clustering
 from clustopt.montecarlo import ScatterRow
 from clustopt.costs import sample_quartic
+from clustopt.spectral import DENSE_LIMIT
 from helpers import complete_graph
 
 
@@ -355,3 +361,36 @@ class TestCli:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["metrics", "--in", str(tmp_path / "nope.json")]) == 1
         assert capsys.readouterr().err.startswith("error: io-error:")
+
+
+def test_mc_summary_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Every lambda2 of an order above DENSE_LIMIT is a LOBPCG solve, whose
+    bits do not depend on the OpenBLAS thread count.  The dense dsyevr
+    branch gave this config a different mean_lambda2 on 1 and 2 threads."""
+    assert 500 > DENSE_LIMIT
+    cfg = {
+        "topologies": [
+            {"label": "SF", "model": "ba", "n": 500, "links": 6},
+            {"label": "CSF", "model": "hk", "n": 500, "links": 6,
+             "triad_links": 1},
+        ],
+        "cost_spec": {"family": "quartic", "m": 20},
+        "sim": {"alpha": 1.0, "steps": 10, "h": None, "record_stride": 5},
+        "trials": 3,
+        "base_seed": 3,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(clustopt.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "clustopt.cli", "mc",
+                        "--config", str(path), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        digests.append(
+            hashlib.sha256((out / "summary.json").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

@@ -251,8 +251,8 @@ class TestOneGrowthPerTrial:
         from clustopt.errors import ConvergenceError
         from clustopt.graph_io import write_graph
 
-        def failing_lambda2(g):
-            raise ConvergenceError("no lambda2")
+        def failing_lambda2(lap, m):
+            return [ConvergenceError("no lambda2")] * m
 
         path = tmp_path / "disc.json"
         write_graph(build_graph([(0, 1, 1), (2, 3, 1)], n=4), str(path))
@@ -266,7 +266,7 @@ class TestOneGrowthPerTrial:
         )
         for failing in ("D", "A"):
             if failing == "A":
-                monkeypatch.setattr(montecarlo, "lambda2_laplacian",
+                monkeypatch.setattr(montecarlo, "lambda2_blocks",
                                     failing_lambda2)
             with pytest.raises(ClustoptError) as info:
                 run_mc(cfg)
@@ -302,6 +302,72 @@ class TestOneGrowthPerTrial:
             assert ls.trial_count == 2
         # a bound taken over fewer trials is no tighter
         assert derived.h >= unpatched_h
+
+    def test_failed_lambda2_is_ledgered_in_trial_order_and_kept_in_h(
+            self, monkeypatch):
+        """Trial 2 of every label fails to initialize, and trial 1's lambda2
+        fails in label SF, whose trial 1 has the smallest stability bound.
+        Each failure is ledgered once, in trial order, the bound of trial 1
+        still sets ``h``, and every other lambda2 is the lone one."""
+        from clustopt import montecarlo
+        from clustopt.costs import sample_quartic
+        from clustopt.dynamics import stability_max_step
+        from clustopt.errors import ConvergenceError, DisconnectedError
+        from clustopt.spectral import DENSE_LIMIT, lambda2_laplacian
+
+        cfg = McConfig(
+            topologies=(TopologySpec("SF", "ba", n=500, links=3),
+                        TopologySpec("CSF", "hk", n=500, links=3,
+                                     triad_links=1)),
+            cost_spec=CostSpec(family="quartic"),
+            sim=SimConfig(alpha=1.0, steps=10, record_stride=5),
+            trials=4,
+            base_seed=6,
+        )
+        assert 500 > DENSE_LIMIT  # the labels' lambda2 are stacked LOBPCG
+        bad = sample_quartic(500, np.random.default_rng(
+            trial_seed(6, montecarlo._SHARED_LABEL, 2))).a[0]
+        initialize, blocks = montecarlo.initialize, montecarlo.lambda2_blocks
+
+        def failing_initialize(g, model, sim, rng):
+            if model.a[0] == bad:
+                raise DisconnectedError("trial 2 fails")
+            return initialize(g, model, sim, rng)
+
+        def failing_lambda2(lap, m):  # SF is built first: trials 0, 1, 3
+            out = blocks(lap, m)
+            if not calls:
+                out[1] = ConvergenceError("no lambda2")
+            calls.append(m)
+            return out
+
+        monkeypatch.setattr(montecarlo, "initialize", failing_initialize)
+        unpatched = run_mc(cfg)
+        calls: list[int] = []
+        monkeypatch.setattr(montecarlo, "lambda2_blocks", failing_lambda2)
+        summary = run_mc(cfg)
+        assert calls == [3, 3]  # one call per label
+        sf, csf = summary.labels
+        assert sf.errors == [(1, "convergence-failure", "no lambda2"),
+                             (2, "disconnected", "trial 2 fails")]
+        assert csf.errors == [(2, "disconnected", "trial 2 fails")]
+        assert (sf.trial_count, csf.trial_count) == (2, 3)
+        lone = {}
+        for topo in cfg.topologies:
+            li = montecarlo._label_rank(cfg, topo.label)
+            for ti in (0, 1, 3):
+                g, rng = montecarlo._trial_graph(cfg, topo, li, ti, {})
+                wg, model, state = montecarlo._trial_inputs(cfg, g, rng, ti,
+                                                            None)
+                lone[topo.label, ti] = (lambda2_laplacian(wg),
+                                        stability_max_step(wg, 1.0, model,
+                                                           state))
+        assert summary.h == unpatched.h == 0.5 * min(b for _, b in lone.values())
+        assert summary.h == 0.5 * lone["SF", 1][1]
+        assert sf.mean_lambda2 == float(np.mean([lone["SF", 0][0],
+                                                 lone["SF", 3][0]]))
+        assert csf.mean_lambda2 == unpatched.labels[1].mean_lambda2 == float(
+            np.mean([lone["CSF", ti][0] for ti in (0, 1, 3)]))
 
 
 class TestStackedIntegration:

@@ -32,6 +32,7 @@ from clustopt.spectral import (
     default_zero_tol,
     eig_general,
     eig_symmetric,
+    lambda2_blocks,
     lambda2_laplacian,
     spectral_report,
 )
@@ -161,8 +162,8 @@ class TestLambda2:
     def _cholesky_fails_from(monkeypatch, order):
         cholesky = np.linalg.cholesky
 
-        def failing(m):
-            if len(m) >= order:
+        def failing(m):  # m is a stack of Gram matrices, one per block
+            if m.shape[-1] >= order:
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             return cholesky(m)
 
@@ -205,6 +206,73 @@ class TestLambda2:
         lam_max = spla.eigsh(laplacian_sparse(g), k=1, which="LA",
                              return_eigenvectors=False)[0]
         assert abs(lambda2_laplacian(g) - expected) <= 1e-8 * lam_max
+
+
+def _union_laplacian(graphs: list[Graph]) -> sp.csr_matrix:
+    """Laplacian of the disjoint union of graphs of one order, graph j on
+    the j-th node range."""
+    n = graphs[0].n
+    return laplacian_sparse(Graph(
+        n * len(graphs),
+        np.vstack([g.edges + j * n for j, g in enumerate(graphs)]),
+        np.concatenate([g.weights for g in graphs])))
+
+
+@pytest.mark.filterwarnings("error")  # no solver warning may escape
+class TestStackedLambda2:
+    """``lambda2_blocks`` solves graphs of one order as one LOBPCG stack;
+    each value has the bits of its graph solved alone."""
+
+    N = 500
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        rng = np.random.default_rng(70)
+        return [weighted_scale_free("hk" if i % 2 else "ba", self.N, rng)
+                for i in range(20)]
+
+    def test_stack_matches_lone_bit_for_bit(self, graphs):
+        assert self.N > DENSE_LIMIT
+        stacked = lambda2_blocks(_union_laplacian(graphs), len(graphs))
+        for g, lam2 in zip(graphs, stacked):
+            vals = np.linalg.eigvalsh(laplacian(g))
+            assert lam2 == lambda2_laplacian(g)
+            assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
+
+    def test_failed_blocks_fail_alone(self, graphs, monkeypatch):
+        """In one stack a weighted path reaches the iteration cap, one graph's
+        basis loses rank and a split path is disconnected; every other graph
+        keeps its lone value."""
+        n = self.N
+        w = np.exp(np.random.default_rng(71).uniform(-3.0, 3.0, n - 1))
+        path = Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))), w)
+        split = Graph(n, path.edges[1:], path.weights[1:])
+        lone = [lambda2_laplacian(g) for g in graphs[:4]]
+        cholesky, grams = np.linalg.cholesky, []
+        monkeypatch.setattr(spectral.np.linalg, "cholesky",
+                            lambda m: grams.append(m.copy()) or cholesky(m))
+        lambda2_laplacian(graphs[1])
+        # the second Gram matrix, of X and W: every block starts from the
+        # same X, so the first is the same in all of them
+        lost = grams[1][0]
+
+        def failing(m):
+            if any(np.array_equal(g, lost) for g in m.reshape(-1, *m.shape[-2:])):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(m)
+
+        monkeypatch.setattr(spectral.np.linalg, "cholesky", failing)
+        monkeypatch.setattr(spectral, "LOBPCG_ITERS_PER_NODE", 400 / n)
+        with pytest.raises(ConvergenceError, match="lost rank"):
+            lambda2_laplacian(graphs[1])
+        got = lambda2_blocks(_union_laplacian(
+            [graphs[0], graphs[1], path, graphs[2], split, graphs[3]]), 6)
+        assert [got[0], got[3], got[5]] == [lone[0], lone[2], lone[3]]
+        assert got[4] == 0.0
+        assert isinstance(got[1], ConvergenceError)
+        assert "lost rank" in str(got[1])
+        assert isinstance(got[2], ConvergenceError)
+        assert "after 400 iterations" in str(got[2])
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
