@@ -28,11 +28,11 @@ Degree weights are frozen while one node attaches: edges added by the
 current node never bias its own remaining draws.  With ``triad_links = 0``
 the two models consume the random stream identically.  With
 ``triad_links = 1`` every group is an anchor and one neighbor of it, since
-that pair already closes one triangle for each member.  A BA node draws
-all its remaining targets in one call (the values and generator state of as
-many scalar draws) and redraws only rejections; HK interleaves draws of
-different bounds, one call each.  1000 rejections in a row fall back to an
-exact frozen-degree draw.
+that pair already closes one triangle for each member.  BA and HK share
+one draw loop: numpy's bounded-integer rule on raw 32-bit words, drawn a
+block at a time, gives the values and generator state of one
+``rng.integers(0, k)`` call per draw.  1000 rejections in a row fall back
+to an exact frozen-degree draw.
 
 Rewiring raises the global clustering coefficient by greedy double-edge
 swaps that preserve every node degree: two edges (a,b), (c,d) are replaced
@@ -63,6 +63,7 @@ from .graphs import Graph, global_clustering, is_connected
 _TRIAD_SCAN_LIMIT = 16  # rejection tries before listing eligible neighbors
 # preferential draws rejected in a row before an exact frozen-degree draw
 _MAX_REJECTIONS = 1000
+_WORDS = 256  # raw 32-bit words per generator call in growth
 # swap proposals drawn and scored per numpy pass: 128 beat 64 and 256 at
 # n = 800 and n = 1788, where a 256 block's rows outgrow the cache
 _BLOCK = 128
@@ -211,33 +212,27 @@ def _grow(n: int, links: int, triad_links: int, seed_size: int,
                  for k in range(seed_size)] if triad_links else None)
     adj_set = [set(nb) for nb in adj_list] if triad_links >= 2 else None
 
+    draw, sync = _word_draws(rng)
     for v in range(seed_size, n):
         chosen: set[int] = set()
         targets: list[int] = []
         streak = 0  # preferential draws rejected in a row
         while len(targets) < links:
-            # all of a BA node's remaining targets in one call, an HK anchor
-            # alone; no call draws past the streak that ends in an exact draw
-            want = len(targets) + 1 if triad_links else links
-            while len(targets) < want:
-                if size and streak < _MAX_REJECTIONS:
-                    k = min(want - len(targets), _MAX_REJECTIONS - streak)
-                    idx = (rng.integers(0, size, size=k).tolist() if k > 1
-                           else [rng.integers(0, size)])
-                    draws = [pool[i] for i in idx]
-                else:
-                    draws = [_frozen_degree_draw(pool[:size], v, chosen, rng)]
-                for t in draws:
-                    if t in chosen:
-                        streak += 1
-                    else:
-                        streak = 0
-                        chosen.add(t)
-                        targets.append(t)
+            # one preferential draw: a BA target or an HK anchor
+            if size and streak < _MAX_REJECTIONS:
+                t = pool[draw(size)]
+            else:
+                sync()  # the exact draw takes rng itself
+                t = _frozen_degree_draw(pool[:size], v, chosen, rng)
+            streak = streak + 1 if t in chosen else 0
+            if streak:
+                continue
+            chosen.add(t)
+            targets.append(t)
             if not triad_links:
                 continue
-            group = [targets[-1]]  # the anchor, and its triad targets
-            nbrs = adj_list[group[0]]
+            group = [t]  # the anchor, and its triad targets
+            nbrs = adj_list[t]
             nbrs.append(v)
             # a member's neighbors among v's other targets are the triangles
             # that its link to v closes
@@ -250,12 +245,12 @@ def _grow(n: int, links: int, triad_links: int, seed_size: int,
                 # placed at most links - 2 other targets: one is eligible
                 scan = _TRIAD_SCAN_LIMIT if len(nbrs) > _TRIAD_SCAN_LIMIT else 0
                 for _ in range(scan):
-                    t = nbrs[rng.integers(0, len(nbrs))]
+                    t = nbrs[draw(len(nbrs))]
                     if t != v and t not in chosen:
                         break
                 else:
                     eligible = [u for u in nbrs if u != v and u not in chosen]
-                    t = eligible[rng.integers(0, len(eligible))]
+                    t = eligible[draw(len(eligible))]
                 chosen.add(t)
                 targets.append(t)
                 adj_list[t].append(v)
@@ -270,11 +265,48 @@ def _grow(n: int, links: int, triad_links: int, seed_size: int,
             for t in targets:
                 adj_set[t].add(v)
 
+    sync()
     # the seed clique in row-major order, then (v, t) in attach order
     grown = np.array(pool[n_seed:], dtype=np.int64).reshape(-1, 2, links)
     e = np.concatenate((np.column_stack(np.triu_indices(seed_size, k=1)),
                         grown.transpose(0, 2, 1).reshape(-1, 2)))
     return Graph(n, e, np.ones(e.shape[0]))
+
+
+def _word_draws(rng: np.random.Generator, block: int = _WORDS):
+    """``draw(k)``, equal to ``rng.integers(0, k)`` for ``1 <= k <= 2**32``,
+    and ``sync()``, which leaves ``rng`` as those scalar calls would.
+
+    ``draw`` applies numpy's bounded-integer rule (Lemire 2019) to raw 32-bit
+    words drawn ``block`` at a time: the high word of ``w * k``, or the next
+    word if the low word is below ``(2**32 - k) % k``.  ``sync`` restores the
+    state before the first unsynced block and redraws the words used.
+    """
+    words, pos, start, done = [], 0, None, 0  # done: words of past blocks
+
+    def draw(k: int) -> int:
+        nonlocal words, pos, start, done
+        while k > 1:  # k = 1 takes no word
+            if pos == len(words):
+                start = start or rng.bit_generator.state
+                done += pos
+                words = rng.integers(0, 1 << 32, size=block,
+                                     dtype=np.uint32).tolist()
+                pos = 0
+            m = words[pos] * k
+            pos += 1
+            if m & 0xFFFFFFFF >= (0x100000000 - k) % k:
+                return m >> 32
+        return 0
+
+    def sync() -> None:
+        nonlocal words, pos, start, done
+        if start:
+            rng.bit_generator.state = start
+            rng.integers(0, 1 << 32, size=done + pos, dtype=np.uint32)
+        words, pos, start, done = [], 0, None, 0
+
+    return draw, sync
 
 
 def _frozen_degree_draw(pool: list[int], v: int, chosen: set[int],
@@ -476,7 +508,8 @@ def rewire_increase_clustering(
                     stale[:] = True
                 since_check = 0
             rescore = used + np.flatnonzero(stale)
-            gain[rescore], second[rescore] = state.score(pairs[rescore])
+            if rescore.size:
+                gain[rescore], second[rescore] = state.score(pairs[rescore])
         attempted += used
         if used < size:
             # the target was reached mid-block: leave the generator as if

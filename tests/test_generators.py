@@ -405,21 +405,37 @@ def test_block_scoring_matches_reference(case):
         assert 0 < report.swaps_attempted < _BLOCK
 
 
-@pytest.mark.parametrize("k", [7, 3000, 2**31 + 5])
-def test_sized_draw_equals_scalar_draws(k):
-    """The installed numpy's contract that batched BA growth rests on: one
-    ``integers(0, k, size=m)`` call returns the values of m scalar calls and
-    leaves the generator in the same state."""
-    for m in (1, 2, 6, 1000):
-        batched = np.random.default_rng(m)
-        scalar = np.random.default_rng(m)
-        values = batched.integers(0, k, size=m)
-        assert values.tolist() == [int(scalar.integers(0, k))
-                                   for _ in range(m)]
-        assert batched.bit_generator.state == scalar.bit_generator.state
+@pytest.mark.parametrize(
+    "k", [1, 2, 7, 3000, 2**31 + 5, 3 * 2**30, 2**32 - 1])
+def test_word_draws_equal_scalar_draws(k):
+    """The draws growth takes from blocks of raw words: ``draw(k)`` returns
+    the values of scalar ``integers(0, k)`` calls, and ``sync`` leaves the
+    generator in their state, across block boundaries, odd and even word
+    counts, and a direct draw from the generator between two syncs.
+    3 * 2**30 rejects a quarter of the words; 1 consumes none."""
+    halves = set()
+    for block in (4, generators._WORDS):
+        for m in (1, 2, 5, 6, 9, 1000):
+            fast = np.random.default_rng(m)
+            scalar = np.random.default_rng(m)
+            draw, sync = generators._word_draws(fast, block)
+            for _ in range(2):
+                assert [draw(k) for _ in range(m)] == [
+                    int(scalar.integers(0, k)) for _ in range(m)]
+                sync()
+                assert fast.bit_generator.state == scalar.bit_generator.state
+                halves.add(scalar.bit_generator.state["has_uint32"])
+                assert fast.uniform() == scalar.uniform()
+    # an odd count of words used leaves half of a 64-bit output buffered
+    assert halves == ({0} if k == 1 else {0, 1})
 
 
-@pytest.mark.parametrize("case", GROWTH_SWEEP, ids=str)
+# generators that already hold half of a 64-bit output when growth starts
+PART_USED = [(300, 6, 0, None, 3, "part-used"),
+             (300, 6, 2, None, 3, "part-used")]
+
+
+@pytest.mark.parametrize("case", GROWTH_SWEEP + PART_USED, ids=str)
 def test_growth_matches_reference(monkeypatch, case):
     """Growth equals the scalar-draw oracle: the same edges, and the
     generator in the same state afterwards."""
@@ -427,10 +443,14 @@ def test_growth_matches_reference(monkeypatch, case):
     draw = generators._frozen_degree_draw
     monkeypatch.setattr(generators, "_frozen_degree_draw",
                         lambda *a: exact.append(1) or draw(*a))
-    n, links, l2, seed_size, seed = case
+    n, links, l2, seed_size, seed, *part_used = case
     rng_fast = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
-    g = grow_case(case, rng_fast)
+    if part_used:
+        rng_fast.integers(0, 7)
+        rng_ref.integers(0, 7)
+        assert rng_fast.bit_generator.state["has_uint32"] == 1
+    g = grow_case(case[:5], rng_fast)
     ref = reference_grow(n, links, l2, seed_size or links, rng_ref)
     assert g.n == ref.n
     assert np.array_equal(g.edges, ref.edges)
