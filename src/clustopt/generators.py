@@ -37,15 +37,19 @@ to an exact frozen-degree draw.
 Rewiring raises the global clustering coefficient by greedy double-edge
 swaps that preserve every node degree: two edges (a,b), (c,d) are replaced
 by (a,c),(b,d) or (a,d),(b,c) only when the result stays simple and the
-global triangle count strictly increases.  The rewiring state is one
-bit-packed adjacency, ``ceil(n/64)`` ``uint64`` words per node (``n²/8``
-bytes: 80 KB at n = 800, 50 MB at ``DEFAULT_SIZE_CAP`` = 20000).  A block
-of proposals is scored in one numpy pass, with common-neighbor counts from
-``np.bitwise_count`` of the ANDed rows.  The first improving proposal is
-applied, and the later proposals of the block that share a node with it
-are scored again, so the swaps, and the random stream they consume, are
-those of scoring one proposal at a time.  A dense common-neighbor matrix
-would take ``4n²`` bytes, 1.6 GB at the size cap.
+global triangle count strictly increases.  The rewiring state holds the
+adjacency twice, bit-packed: ``ceil(n/64)`` ``uint64`` words per node, and
+one Python ``int`` per node.  Building it for HK n = 20000 (``links=6``,
+``DEFAULT_SIZE_CAP``) peaks at 114 MB under ``tracemalloc``, against 70 MB
+with the words alone: 50 MB of words and 43 MB of ints.  A block of
+proposals is scored in one numpy pass, with common-neighbor counts from
+``np.bitwise_count`` of the ANDed words.  The block is then walked in draw
+order in Python: each improving proposal is applied, with its triangle
+updates from the set bits of ANDed ints, and a proposal that shares a node
+with an earlier swap of the block, or follows a rollback, is scored again
+alone with ``int.bit_count``.  So the swaps, and the random stream they
+consume, are those of scoring one proposal at a time.  A dense
+common-neighbor matrix would take ``4n²`` bytes, 1.6 GB at the size cap.
 """
 
 from __future__ import annotations
@@ -326,34 +330,41 @@ class _RewireState:
 
     Row ``u`` of ``bits`` holds ``ceil(n/64)`` little-endian ``uint64``
     words, and bit ``v`` of the row is set when ``u`` and ``v`` are
-    adjacent; ``bytes`` is the same memory seen as ``uint8``.  Row ``e`` of
-    ``edges`` holds the endpoints of edge slot ``e`` in the orientation the
-    last swap left them, which decides how the next swap of the slot pairs
-    its endpoints.  A swap keeps each weight in its slot.
+    adjacent; ``bytes`` is the same memory seen as ``uint8``, and
+    ``rows[u]`` the same row as one Python ``int``.  The numpy rows score a
+    block of proposals in one pass, the Python rows one swap or one proposal
+    at a time; every flip updates both.  Row ``e`` of ``edges`` holds the
+    endpoints of edge slot ``e`` in the orientation the last swap left them,
+    which decides how the next swap of the slot pairs its endpoints.  A swap
+    keeps each weight in its slot.
     """
-
-    # the six endpoint pairs scored per proposal: ab, cd, ac, bd, ad, bc
-    _LEFT = np.array([0, 2, 0, 1, 0, 1])
-    _RIGHT = np.array([1, 3, 2, 3, 3, 2])
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.edges = g.edges.copy()
         self.weights = g.weights
+        self.bits = np.zeros((g.n, -(-g.n // 64)), dtype="<u8")
+        self.bytes = self.bits.view(np.uint8)
+        self.rows = [0] * g.n
         self._pack()
         self.tri = global_clustering(g).triangles_per_node.astype(np.int64)
         deg = g.degrees()
         self.coef = np.zeros(g.n)
         mask = deg >= 2
         self.coef[mask] = 2.0 / (deg[mask] * (deg[mask] - 1.0))
+        # element access from Python, on the same memory
+        self._slots, self._tri, self._bytes = map(
+            memoryview, (self.edges, self.tri, self.bytes))
 
     def _pack(self) -> None:
-        self.bits = np.zeros((self.n, -(-self.n // 64)), dtype="<u8")
-        self.bytes = self.bits.view(np.uint8)
+        """Set both adjacency copies from ``edges``, in place."""
+        self.bits.fill(0)
         u = self.edges.ravel()
         v = self.edges[:, ::-1].ravel()
         np.bitwise_or.at(self.bytes, (u, v >> 3),
                          np.left_shift(1, v & 7).astype(np.uint8))
+        for node, row in enumerate(self.bytes):
+            self.rows[node] = int.from_bytes(row, "little")
 
     def clustering(self) -> float:
         return float(np.dot(self.coef, self.tri) / self.n)
@@ -362,8 +373,8 @@ class _RewireState:
         return self.edges.copy(), self.tri.copy()
 
     def restore(self, snap) -> None:
-        self.edges = snap[0].copy()
-        self.tri = snap[1].copy()
+        self.edges[:] = snap[0]
+        self.tri[:] = snap[1]
         self._pack()
 
     def connected(self) -> bool:
@@ -373,20 +384,22 @@ class _RewireState:
         return connected_components(adj, directed=False,
                                     return_labels=False) <= 1
 
-    def score(self, pairs: np.ndarray) -> tuple:
+    def score(self, ends: np.ndarray) -> tuple:
         """Triangle gain of each proposal's better orientation, and which.
 
-        Proposal ``k`` swaps the edges in slots ``pairs[k]``, (a,b) and
-        (c,d), for (a,c),(b,d) or, where ``second[k]``, (a,d),(b,c).  A gain
-        is positive exactly when the four endpoints are distinct, the
+        Proposal ``k`` swaps the edges (a,b), (c,d) = ``ends[k]`` for
+        (a,c),(b,d) or, where ``second[k]``, (a,d),(b,c).  A gain is
+        positive exactly when the four endpoints are distinct, the
         orientation keeps the graph simple and the triangle count rises by
         that much; the common-neighbor counts are corrected for the two
         edges that disappear.  Ties go to the first orientation.
         """
-        ends = self.edges[pairs].reshape(-1, 4).T
-        rows = self.bits[ends]
-        ab, cd, ac, bd, ad, bc = np.bitwise_count(
-            rows[self._LEFT] & rows[self._RIGHT]).sum(-1, dtype=np.int64)
+        ends = ends.T
+        ra, rb, rc, rd = self.bits[ends]
+        ab, cd, ac, bd, ad, bc = (
+            np.bitwise_count(x & y).sum(-1, dtype=np.int64)
+            for x, y in ((ra, rb), (rc, rd), (ra, rc), (rb, rd), (ra, rd),
+                         (rb, rc)))
         u, v = ends[[0, 1, 0, 1]], ends[[2, 3, 3, 2]]
         a_ac, a_bd, a_ad, a_bc = (self.bytes[u, v >> 3] >> (v & 7)) & 1
         removed = ab + cd
@@ -398,39 +411,52 @@ class _RewireState:
         distinct = (a != c) & (a != d) & (b != c) & (b != d)
         return np.maximum(g1, g2) * distinct, g2 > g1
 
-    def _flip(self, u: int, v: int) -> None:
-        self.bytes[u, v >> 3] ^= 1 << (v & 7)
-        self.bytes[v, u >> 3] ^= 1 << (u & 7)
+    def score_one(self, e1: int, e2: int) -> tuple[int, bool]:
+        """:meth:`score` of the proposal of slots ``e1``, ``e2`` alone, on
+        the Python rows."""
+        slots, rows = self._slots, self.rows
+        a, b, c, d = slots[e1, 0], slots[e1, 1], slots[e2, 0], slots[e2, 1]
+        if a == c or a == d or b == c or b == d:
+            return 0, False
+        ra, rb, rc, rd = rows[a], rows[b], rows[c], rows[d]
+        a_ac, a_bd = ra >> c & 1, rb >> d & 1
+        a_ad, a_bc = ra >> d & 1, rb >> c & 1
+        removed = (ra & rb).bit_count() + (rc & rd).bit_count()
+        g1 = 0 if a_ac | a_bd else ((ra & rc).bit_count() + (rb & rd).bit_count()
+                                    - 2 * (a_bc + a_ad) - removed)
+        g2 = 0 if a_ad | a_bc else ((ra & rd).bit_count() + (rb & rc).bit_count()
+                                    - 2 * (a_bd + a_ac) - removed)
+        return max(g1, g2), g2 > g1
 
-    def _common(self, u: int, v: int) -> np.ndarray:
-        return np.flatnonzero(np.unpackbits(self.bytes[u] & self.bytes[v],
-                                            bitorder="little"))
+    def _toggle(self, u: int, v: int, step: int) -> None:
+        """Add (step 1) or remove (step -1) edge (u, v) and its triangles,
+        whose third nodes are the set bits of ``rows[u] & rows[v]`` with or
+        without the edge."""
+        rows, tri = self.rows, self._tri
+        common, k = rows[u] & rows[v], 0
+        while common:
+            low = common & -common
+            tri[low.bit_length() - 1] += step
+            common ^= low
+            k += step
+        tri[u] += k
+        tri[v] += k
+        self._bytes[u, v >> 3] ^= 1 << (v & 7)
+        self._bytes[v, u >> 3] ^= 1 << (u & 7)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
 
-    def _remove(self, u: int, v: int) -> None:
-        self._flip(u, v)
-        common = self._common(u, v)
-        self.tri[common] -= 1
-        self.tri[u] -= common.size
-        self.tri[v] -= common.size
-
-    def _add(self, u: int, v: int) -> None:
-        common = self._common(u, v)
-        self.tri[common] += 1
-        self.tri[u] += common.size
-        self.tri[v] += common.size
-        self._flip(u, v)
-
-    def swap(self, e1: int, e2: int, second: bool) -> None:
-        """Apply proposal (e1, e2) in the orientation :meth:`score` chose."""
-        a, b = map(int, self.edges[e1])
-        c, d = map(int, self.edges[e2])
-        new1, new2 = ((a, d), (b, c)) if second else ((a, c), (b, d))
-        self._remove(a, b)
-        self._remove(c, d)
-        self._add(*new1)
-        self._add(*new2)
-        self.edges[e1] = new1
-        self.edges[e2] = new2
+    def swap(self, e1: int, e2: int, second: bool) -> tuple[int, ...]:
+        """Apply proposal (e1, e2) in the orientation :meth:`score` chose;
+        return its four nodes."""
+        slots = self._slots
+        a, b, c, d = slots[e1, 0], slots[e1, 1], slots[e2, 0], slots[e2, 1]
+        if second:
+            c, d = d, c
+        for u, v, step in ((a, b, -1), (c, d, -1), (a, c, 1), (b, d, 1)):
+            self._toggle(u, v, step)
+        slots[e1, 1], slots[e2, 0], slots[e2, 1] = c, b, d
+        return a, b, c, d
 
     def to_graph(self) -> Graph:
         return Graph(self.n, self.edges, self.weights)
@@ -453,13 +479,14 @@ def rewire_increase_clustering(
 
     Proposals are drawn and scored in blocks of ``_BLOCK``: one numpy pass
     counts the common neighbors of every endpoint pair of the block with
-    ``np.bitwise_count`` on the bit-packed adjacency (``n²/8`` bytes, 50 MB
-    at ``n`` = 20000).  The first improving proposal is applied, and the
-    later proposals that share a node with it are scored again: a proposal
-    that shares none keeps its endpoints, counts and adjacency bits.  So
-    every decision is the one the proposal would get alone, in draw order,
-    and the generator ends in the state that drawing each used proposal on
-    its own would leave.
+    ``np.bitwise_count`` on the bit-packed adjacency.  The block is then
+    walked in draw order from its first improving proposal.  A proposal
+    that shares a node with an earlier swap of the block is scored again
+    alone on the Python rows, and so is every proposal after a rollback,
+    which may also undo swaps of earlier blocks; any other keeps its
+    endpoints, counts and adjacency bits.  So every decision is the one the
+    proposal would get alone, in draw order, and the generator ends in the
+    state that drawing each used proposal on its own would leave.
     """
     params.validate()
     if not is_connected(g):
@@ -480,20 +507,25 @@ def rewire_increase_clustering(
         size = min(_BLOCK, params.max_swaps - attempted)
         before = rng.bit_generator.state
         pairs = rng.integers(0, m, size=2 * size).reshape(size, 2)
-        gain, second = state.score(pairs)
-        used = 0
-        while c < target:
-            hits = np.flatnonzero(gain[used:] > 0)
-            if hits.size == 0:
-                used = size
-                break
-            k = used + int(hits[0])
-            state.swap(int(pairs[k, 0]), int(pairs[k, 1]), bool(second[k]))
-            used = k + 1
-            # a swap changes the scores of the proposals that share a node
-            # with it; a rollback may change any
-            nodes = state.edges[pairs[k]].reshape(4, 1, 1, 1)
-            stale = (state.edges[pairs[used:]] == nodes).any(axis=(0, 2, 3))
+        ends = state.edges[pairs].reshape(size, 4)
+        gain, second = state.score(ends)
+        hits = np.flatnonzero(gain > 0)
+        first = hits[0] if hits.size else size
+        used = size
+        # walk the block in draw order from its first improving proposal; a
+        # proposal that shares a node with an earlier swap of the block, or
+        # follows a rollback, is scored again alone
+        touched: set[int] = set()
+        rescore_all = False
+        for k, (e1, e2), quad, g_k, s_k in zip(
+                range(first, size), pairs[first:].tolist(),
+                ends[first:].tolist(), gain[first:].tolist(),
+                second[first:].tolist()):
+            if rescore_all or not touched.isdisjoint(quad):
+                g_k, s_k = state.score_one(e1, e2)
+            if g_k <= 0:
+                continue
+            touched.update(state.swap(e1, e2, s_k))
             accepted += 1
             since_check += 1
             c = state.clustering()
@@ -505,11 +537,11 @@ def rewire_increase_clustering(
                     accepted -= since_check
                     rolled_back += since_check
                     c = state.clustering()
-                    stale[:] = True
+                    rescore_all = True
                 since_check = 0
-            rescore = used + np.flatnonzero(stale)
-            if rescore.size:
-                gain[rescore], second[rescore] = state.score(pairs[rescore])
+            if c >= target:
+                used = k + 1
+                break
         attempted += used
         if used < size:
             # the target was reached mid-block: leave the generator as if

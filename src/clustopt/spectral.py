@@ -61,6 +61,10 @@ from .graphs import Graph, laplacian_sparse
 # each: 20 at n = 500 about 8 ms each.  Above the limit lambda2 has the same
 # bits for any BLAS thread count; the dsyevr branch below it does not.
 DENSE_LIMIT = 450
+# The limit for a stack of graphs (m > 1): dsyevr's bits differed between 1
+# and 2 OpenBLAS threads on 0 of 12 weighted HK graphs at each n = 30-150,
+# on 5 of 12 at 300.  Stacked, _lobpcg costs at most 1.3 ms more per graph.
+STACK_DENSE_LIMIT = 150
 DEFAULT_SIZE_CAP = 20000
 # LOBPCG stops once the residual norm is below LOBPCG_TOL times the
 # Gershgorin bound on the largest Laplacian eigenvalue.  A Laplacian
@@ -182,10 +186,11 @@ def lambda2_blocks(lap: sp.csr_matrix,
     given as the CSR Laplacian ``lap`` of their disjoint union: graph b is
     nodes ``b * n`` to ``b * n + n - 1``.
 
-    Above ``DENSE_LIMIT`` the connected graphs are solved in one stacked
-    :func:`_lobpcg` run, and each value has the bits of its graph solved
-    alone.  A graph whose solve fails has its ``ConvergenceError`` in its
-    place; the others keep their values.
+    Above ``DENSE_LIMIT``, or ``STACK_DENSE_LIMIT`` when ``m > 1``, the
+    connected graphs are solved in one stacked :func:`_lobpcg` run, and
+    each value has the bits of its graph solved alone.  A graph whose solve
+    fails has its ``ConvergenceError`` in its place; the others keep their
+    values.
     """
     n = lap.shape[0] // m
     comps = connected_components(lap, directed=False)
@@ -234,14 +239,15 @@ def _laplacian_gap(lap: np.ndarray | sp.spmatrix, comps: tuple | None = None,
     whose solve fails has its ``ConvergenceError`` in its place.
 
     ``comps`` is ``connected_components(lap)`` where the caller has it.  Up
-    to ``DENSE_LIMIT``: each block's eigenvalue ``ncomp`` by LAPACK
-    ``dsyevr``; above it, one :func:`_lobpcg` run on the whole stack, kept
-    off the indicators by subtracting each component's mean.  Isolated
-    nodes, which only a lone block (m = 1) may have, are dropped first.
+    to ``DENSE_LIMIT`` for one block and ``STACK_DENSE_LIMIT`` for more:
+    each block's eigenvalue ``ncomp`` by LAPACK ``dsyevr``; above it, one
+    :func:`_lobpcg` run on the whole stack, kept off the indicators by
+    subtracting each component's mean.  Isolated nodes, which only a lone
+    block (m = 1) may have, are dropped first.
     ``AllZeroError`` when every node is its own component.
     """
     n = lap.shape[0] // m
-    if n <= DENSE_LIMIT and m > 1:  # one dense solve per block
+    if n <= STACK_DENSE_LIMIT and m > 1:  # one dense solve per block
         return [gap for b in range(0, m * n, n)
                 for gap in _laplacian_gap(lap[b:b + n, b:b + n])]
     ncomp, labels = comps or connected_components(lap, directed=False)
@@ -249,7 +255,7 @@ def _laplacian_gap(lap: np.ndarray | sp.spmatrix, comps: tuple | None = None,
         raise AllZeroError("all Laplacian eigenvalues are structurally zero")
     deg = lap.diagonal()
     scale = 2.0 * deg.reshape(m, n).max(axis=1)
-    if n <= DENSE_LIMIT:
+    if n <= DENSE_LIMIT and m == 1:
         _check_symmetric(lap)  # a tenth of the cost of the dense check
         a = lap.toarray() if sp.issparse(lap) else np.array(lap)
         try:  # overwrites its own copy

@@ -332,12 +332,15 @@ class _ReferenceRewireState:
 
 def reference_rewire(
     g: Graph, params: RewireParams, rng: np.random.Generator,
+    accepted_at: list | None = None,
 ) -> tuple[Graph, RewireReport]:
     """Set-based oracle for :func:`rewire_increase_clustering`.
 
     One proposal at a time, two scalar draws each, Python set intersections
     for every common-neighbor count.  The fast path must match its edges,
-    weights, report and final generator state bit for bit.
+    weights, report and final generator state bit for bit.  The index of
+    every accepted proposal, rolled back or not, is appended to
+    ``accepted_at`` when given.
     """
     params.validate()
     if not is_connected(g):
@@ -360,6 +363,8 @@ def reference_rewire(
         if e1 == e2:
             continue
         if state.try_swap(e1, e2):
+            if accepted_at is not None:
+                accepted_at.append(attempted - 1)
             accepted += 1
             since_check += 1
             c = state.clustering()

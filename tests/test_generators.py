@@ -1,4 +1,6 @@
+import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from clustopt.graphs import (
 from clustopt import generators
 from helpers import (
     GROWTH_SWEEP,
+    _ReferenceRewireState,
     cycle_graph,
     grow_case,
     random_connected_graph,
@@ -357,6 +360,22 @@ def _rollback_sweep(interval, seed):
     return g, RewireParams(1.0, 200, interval), seed
 
 
+def _hk300_rollback(interval):
+    # with two links per node some greedy swaps split the graph, so the
+    # periodic check rolls back on this graph at intervals 1 and 3
+    rng = np.random.default_rng(42)
+    g = generate_hk(HkParams(n=300, links=2, triad_links=1), rng)
+    c0 = global_clustering(g).global_mean
+    return g, RewireParams(1.3 * c0, 50_000, interval), 43
+
+
+def _dense20(seed):
+    # a dense 20-node graph: most blocks make several swaps on shared nodes
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, 20, 0.3)
+    return g, RewireParams(1.0, 3000), seed
+
+
 def _ba(n, max_swaps, target=0.6):
     g = generate_ba(BaParams(n, 3), np.random.default_rng(n))
     return g, RewireParams(target, max_swaps), n + 1
@@ -379,6 +398,10 @@ EQUIVALENCE_CASES = {
     **{f"budget{b}": (lambda b=b: _ba(130, b, 1.0))
        for b in (_BLOCK - 1, _BLOCK, _BLOCK + 1)},
     "target-mid-block": _target_mid_block,
+    **{f"hk300-rollback-{i}": (lambda i=i: _hk300_rollback(i))
+       for i in (1, 3)},
+    **{f"dense20-{seed}": (lambda seed=seed: _dense20(seed))
+       for seed in (0, 1)},
     "two-edges": lambda: (build_graph([(0, 1, 2.0), (1, 2, 0.5)], n=3),
                           RewireParams(0.5, 300), 0),
 }
@@ -391,7 +414,13 @@ def test_block_scoring_matches_reference(case):
     Edges, weights, report and the generator state afterwards must be
     bit-identical, since the swaps are integer decisions taken in order.
     """
-    g, params, seed = EQUIVALENCE_CASES[case]()
+    report = _assert_matches_reference(*EQUIVALENCE_CASES[case]())
+    if case == "target-mid-block":
+        assert report.reached_target
+        assert 0 < report.swaps_attempted < _BLOCK
+
+
+def _assert_matches_reference(g, params, seed):
     rng_fast = np.random.default_rng(seed)
     rng_ref = np.random.default_rng(seed)
     out, report = rewire_increase_clustering(g, params, rng_fast)
@@ -400,9 +429,70 @@ def test_block_scoring_matches_reference(case):
     assert np.array_equal(out.weights, ref_out.weights)
     assert report == ref_report
     assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
-    if case == "target-mid-block":
-        assert report.reached_target
-        assert 0 < report.swaps_attempted < _BLOCK
+    return report
+
+
+@pytest.mark.parametrize("interval", [2, 5])
+def test_forced_rollbacks_match_reference(monkeypatch, interval):
+    """Every second connectivity check fails, so a rollback also undoes
+    swaps of earlier blocks, whose nodes the block's own swaps need not
+    share: every proposal after a rollback must be scored again."""
+    g, params, seed = EQUIVALENCE_CASES["hk300"]()
+    for cls in (generators._RewireState, _ReferenceRewireState):
+        checks = itertools.count(1)
+        monkeypatch.setattr(cls, "connected",
+                            lambda self, checks=checks: next(checks) % 2 == 1)
+    report = _assert_matches_reference(
+        g, replace(params, connectivity_check_interval=interval), seed)
+    assert report.swaps_rolled_back > 0
+
+
+@pytest.mark.parametrize("case", ["hk300", "dense20-0", "dense20-1"])
+def test_rescoring_changes_decisions_inside_blocks(monkeypatch, case):
+    """A swap can turn a later proposal of its block improving or not, so
+    the walk must score such proposals again: in each case the accepted
+    proposals include some that did not improve when their block was
+    scored, and leave out some that did."""
+    g, params, seed = EQUIVALENCE_CASES[case]()
+    block_gains = []
+    score = generators._RewireState.score
+
+    def recorded(self, ends):
+        gain, second = score(self, ends)
+        block_gains.append(gain)
+        return gain, second
+
+    monkeypatch.setattr(generators._RewireState, "score", recorded)
+    _, report = rewire_increase_clustering(
+        g, params, np.random.default_rng(seed))
+    accepted_at = []
+    reference_rewire(g, params, np.random.default_rng(seed), accepted_at)
+    improving = np.concatenate(block_gains)[:report.swaps_attempted] > 0
+    taken = np.zeros_like(improving)
+    taken[accepted_at] = True
+    assert (taken & ~improving).any()
+    assert (improving & ~taken).any()
+
+
+@pytest.mark.parametrize("case", ["hk300-rollback-1", "hk300-rollback-3"])
+def test_python_rows_equal_packed_rows_after_rollbacks(monkeypatch, case):
+    """Every flip updates both adjacency copies, and a rollback repacks
+    both, so each Python row reads the bits of its packed row."""
+    states = []
+
+    class Recorded(generators._RewireState):
+        def __init__(self, g):
+            super().__init__(g)
+            states.append(self)
+
+    monkeypatch.setattr(generators, "_RewireState", Recorded)
+    g, params, seed = EQUIVALENCE_CASES[case]()
+    _, report = rewire_increase_clustering(
+        g, params, np.random.default_rng(seed))
+    assert report.swaps_rolled_back > 0
+    (state,) = states
+    assert all(int.from_bytes(state.bytes[u], "little") == state.rows[u]
+               for u in range(state.n))
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from clustopt.graph_io import (
 from clustopt.graphs import build_graph, global_clustering
 from clustopt.montecarlo import ScatterRow
 from clustopt.costs import sample_quartic
-from clustopt.spectral import DENSE_LIMIT
+from clustopt.spectral import DENSE_LIMIT, STACK_DENSE_LIMIT
 from helpers import complete_graph
 
 
@@ -363,6 +363,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: io-error:")
 
 
+def _summary_digests_on_1_and_2_blas_threads(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(clustopt.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "clustopt.cli", "mc",
+                        "--config", str(path), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        digests.append(
+            hashlib.sha256((out / "summary.json").read_bytes()).hexdigest())
+    return digests
+
+
 def test_mc_summary_bytes_do_not_depend_on_blas_threads(tmp_path):
     """Every lambda2 of an order above DENSE_LIMIT is a LOBPCG solve, whose
     bits do not depend on the OpenBLAS thread count.  The dense dsyevr
@@ -379,18 +397,26 @@ def test_mc_summary_bytes_do_not_depend_on_blas_threads(tmp_path):
         "trials": 3,
         "base_seed": 3,
     }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    src = os.path.dirname(os.path.dirname(clustopt.__file__))
-    digests = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-m", "clustopt.cli", "mc",
-                        "--config", str(path), "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        digests.append(
-            hashlib.sha256((out / "summary.json").read_bytes()).hexdigest())
+    digests = _summary_digests_on_1_and_2_blas_threads(tmp_path, cfg)
+    assert digests[0] == digests[1]
+
+
+def test_mc_summary_bytes_do_not_depend_on_blas_threads_at_300(tmp_path):
+    """A label's trials above STACK_DENSE_LIMIT are one stacked LOBPCG
+    solve, also at orders up to DENSE_LIMIT.  Solved by dsyevr, this
+    config's mean_lambda2 differed between 1 and 2 threads."""
+    assert STACK_DENSE_LIMIT < 300 < DENSE_LIMIT
+    cfg = {
+        "topologies": [
+            {"label": "SF", "model": "ba", "n": 300, "links": 6},
+            {"label": "CSF", "model": "hk", "n": 300, "links": 6,
+             "triad_links": 1},
+        ],
+        "cost_spec": {"family": "quartic", "m": 20},
+        "sim": {"alpha": 1.0, "steps": 10, "h": None, "record_stride": 5},
+        "trials": 6,
+        "base_seed": 3,
+        "weight_range": [0.5, 1.5],
+    }
+    digests = _summary_digests_on_1_and_2_blas_threads(tmp_path, cfg)
     assert digests[0] == digests[1]
