@@ -18,22 +18,22 @@ aggregate optimum.
 
 Trials of one order and one cost family integrate as one stacked system
 (:func:`run_trials`, of which :func:`run` is the one-trial case): one Euler
-step on a block-diagonal Laplacian per time step, with the bits of each
-trial integrated alone.
+step per time step on the union Laplacian of their graphs, laid out by
+:mod:`clustopt.graphs`, with the bits of each trial integrated alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum
 from .errors import DimensionMismatchError, DisconnectedError, DivergenceError, InvalidParamsError
-from .graphs import Graph, is_connected, laplacian_sparse
+from .graphs import Graph, is_connected, laplacian_blocks, laplacian_sparse
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,11 @@ class SimConfig:
         if not (len(r) == 2 and all(isinstance(v, numbers.Real) for v in r)
                 and r[0] <= r[1]):
             raise InvalidParamsError(f"bad x_init_range {list(r)}")
+
+
+def sim_to_dict(sim: SimConfig) -> dict:
+    """The JSON form of ``sim``, as campaign configs and trace metadata echo it."""
+    return {**asdict(sim), "x_init_range": list(sim.x_init_range)}
 
 
 @dataclass
@@ -154,15 +159,15 @@ def _step(lap, model, x, y, gx, alpha, h):
     return x_new, y_new, gx_new, finite
 
 
-def _check_trials(laplacians, models, states) -> int:
-    """The common node count of trials of one cost family."""
+def _check_trials(lap, models, states) -> int:
+    """The common node count of trials of one cost family on one union."""
     n, family = models[0].n, (type(models[0]), models[0].a.shape[1:])
-    if {(type(mo), mo.a.shape[1:], mo.n, lap.shape, np.shape(s.x),
-         np.shape(s.y)) for lap, mo, s in zip(laplacians, models, states)} \
-            != {(*family, n, (n, n), (n,), (n,))}:
+    if lap.shape != (len(models) * n,) * 2 \
+            or {(type(mo), mo.a.shape[1:], mo.n, np.shape(s.x), np.shape(s.y))
+                for mo, s in zip(models, states)} != {(*family, n, (n,), (n,))}:
         raise DimensionMismatchError(
-            f"every trial needs a {n} x {n} Laplacian, a {n}-node model of "
-            f"one cost family and {n}-node states")
+            f"every trial needs a {n}-node model of one cost family, {n}-node "
+            f"states and an order-{n} block of the union Laplacian")
     return n
 
 
@@ -182,52 +187,47 @@ def run(g: Graph, model: CostModel, cfg: SimConfig,
         state = initialize(g, model, cfg, rng)
     else:
         cfg.validate()
-        _check_trials([laplacian_sparse(g)], [model], [initial_state])
+        _check_trials(laplacian_sparse(g), [model], [initial_state])
         if not is_connected(g):
             raise DisconnectedError("dynamics require a connected graph")
         state = initial_state
     sim = replace(cfg, h=_step_size(g, model, state, cfg))
-    return run_trials([laplacian_sparse(g)], [model], [state],
+    return run_trials(laplacian_sparse(g), [model], [state],
                       [aggregate_optimum(model)], sim)[0]
 
 
-def _stack(laplacians, models, trials):
-    """Block-diagonal Laplacian, each row's entries in the trial's order, and
-    the family's model over the concatenated parameters of some trials."""
-    blocks = [laplacians[t] for t in trials]
-    n, starts = blocks[0].shape[0], np.cumsum([0] + [b.nnz for b in blocks])
-    indptr = [b.indptr[:-1] + int(s) for b, s in zip(blocks, starts)]
-    lap = sp.csr_matrix(
-        (np.concatenate([b.data for b in blocks]),
-         np.concatenate([b.indices + j * n for j, b in enumerate(blocks)]),
-         np.concatenate(indptr + [starts[-1:]])), shape=(len(blocks) * n,) * 2)
-    return lap, type(models[trials[0]])(
+def _stack(models, trials):
+    """The family's model over the concatenated parameters of some trials."""
+    return type(models[trials[0]])(
         a=np.concatenate([models[t].a for t in trials]),
         b=np.concatenate([models[t].b for t in trials]))
 
 
-def run_trials(laplacians: list[sp.csr_matrix], models: list[CostModel],
+def run_trials(lap: sp.csr_matrix, models: list[CostModel],
                states: list[NodeState], optima: list[OptimumCertificate],
                cfg: SimConfig) -> list[TrialTrace]:
     """Integrate trials of one order and one cost family as one system.
 
-    Trial t is its CSR Laplacian, cost model, initial state and aggregate
-    optimum; ``cfg.h`` must be set.  Each Euler step is one :func:`_step` on
-    the disjoint union of the running trials, and a trial's sums reduce its
-    own contiguous rows, so every trace is bit-identical to the trial run
-    alone.  A trial whose state turns non-finite is flagged diverged, and
-    one whose recorded gap reaches ``gap_tolerance`` stops; either leaves
-    the stack with that step's state as its final state.
+    ``lap`` is the :func:`~clustopt.graphs.union_laplacian` of the trials'
+    graphs, trial t on nodes ``t * n`` to ``t * n + n - 1``; trial t is that
+    block, its cost model, initial state and aggregate optimum.  ``cfg.h``
+    must be set.  Each Euler step is one :func:`_step` on the union of the
+    running trials, and a trial's sums reduce its own contiguous rows, so
+    every trace is bit-identical to the trial run alone.  A trial whose
+    state turns non-finite is flagged diverged, and one whose recorded gap
+    reaches ``gap_tolerance`` stops; either leaves the stack with that
+    step's state as its final state, and the others are cut out of ``lap``
+    by :func:`~clustopt.graphs.laplacian_blocks`.
     """
     cfg.validate()
     if cfg.h is None or not models \
-            or {len(laplacians), len(states), len(optima)} != {len(models)}:
-        raise InvalidParamsError("need h and one Laplacian, model, state "
-                                 "and optimum per trial")
-    n, count = _check_trials(laplacians, models, states), len(models)
+            or {len(states), len(optima)} != {len(models)}:
+        raise InvalidParamsError("need h and one model, state and optimum "
+                                 "per trial")
+    n, count = _check_trials(lap, models, states), len(models)
 
     live, m = np.arange(count), count  # the stacked trials, in trial order
-    lap, model = _stack(laplacians, models, live)
+    model = _stack(models, live)
     x = np.concatenate([s.x for s in states])
     y = np.concatenate([s.y for s in states])
     gx = model.gradient_nodes(x)
@@ -281,7 +281,7 @@ def run_trials(laplacians: list[sp.csr_matrix], models: list[CostModel],
         live, maxima, sums = live[keep], maxima[:, keep], sums[..., keep]
         m = live.size
         if m:
-            lap, model = _stack(laplacians, models, live)
+            lap, model = laplacian_blocks(lap, n, keep), _stack(models, live)
 
     record(maxima[0])
     for k in range(1, cfg.steps + 1):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .dynamics import SimConfig, TrialTrace
+from .dynamics import SimConfig, TrialTrace, sim_to_dict
 from .errors import (
     DuplicateEdgeError,
     EmptyGraphError,
@@ -191,17 +191,9 @@ def write_trace_csv(trace: TrialTrace, path: str) -> None:
 
 def write_trace_meta(path: str, cfg: SimConfig, trace: TrialTrace,
                      seed: int | None) -> None:
-    doc = {
-        "alpha": cfg.alpha,
-        "steps": cfg.steps,
-        "h": trace.h,
-        "record_stride": cfg.record_stride,
-        "gap_tolerance": cfg.gap_tolerance,
-        "x_init_range": list(cfg.x_init_range),
-        "seed": seed,
-        "diverged": trace.diverged,
-        "max_tracking_residual": trace.max_tracking_residual,
-    }
+    doc = {**sim_to_dict(cfg), "h": trace.h, "seed": seed,
+           "diverged": trace.diverged,
+           "max_tracking_residual": trace.max_tracking_residual}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True))
         fh.write("\n")

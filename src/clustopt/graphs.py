@@ -15,6 +15,11 @@ always defined.
 Adjacency, connectivity and triangle counts all come from one cached scipy
 CSR adjacency and ``scipy.sparse`` products; no graph search is written out
 here.
+
+Graphs of one order n solved or integrated as one stack sit on their
+disjoint union, graph j on nodes ``j * n`` to ``j * n + n - 1``: the
+Laplacian of that layout is built (:func:`union_laplacian`) and cut
+(:func:`laplacian_blocks`) here only.
 """
 
 from __future__ import annotations
@@ -191,6 +196,37 @@ def laplacian_sparse(g: Graph) -> sp.csr_matrix:
         g._laplacian_csr = sp.coo_matrix(
             (data, (rows, cols)), shape=(g.n, g.n)).tocsr()
     return g._laplacian_csr
+
+
+def union_laplacian(n: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> sp.csr_matrix:
+    """CSR Laplacian of the disjoint union of order-n graphs, each given as
+    its ``(edges, weights)``: graph j on nodes ``j * n`` to ``j * n + n - 1``,
+    rows as :func:`laplacian_sparse` has them.  Filled one graph at a time,
+    so no more than one graph's own Laplacian lives beside it."""
+    m, nnz = len(parts), sum(2 * len(e) + n for e, _ in parts)
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=np.int32)
+    indptr, at = np.empty(m * n + 1, dtype=np.int64), 0
+    for j, (e, w) in enumerate(parts):
+        lap = laplacian_sparse(Graph(n, e, w))
+        data[at:at + lap.nnz] = lap.data
+        indices[at:at + lap.nnz] = lap.indices + j * n
+        indptr[j * n:(j + 1) * n] = lap.indptr[:-1] + at
+        at += lap.nnz
+    indptr[-1] = at
+    return sp.csr_matrix((data, indices, indptr), shape=(m * n, m * n))
+
+
+def laplacian_blocks(lap: sp.csr_matrix, n: int, keep: np.ndarray) -> sp.csr_matrix:
+    """The diagonal blocks ``keep`` (a mask) of a :func:`union_laplacian` of
+    order-n graphs, as the union of those graphs, each row's entries in
+    order."""
+    counts = np.diff(lap.indptr[::n])  # entries per block
+    entries, rows = np.repeat(keep, counts), np.diff(lap.indptr).reshape(-1, n)
+    moved = n * (np.flatnonzero(keep) - np.arange(np.count_nonzero(keep)))
+    indices = lap.indices[entries]
+    indices -= np.repeat(moved.astype(indices.dtype), counts[keep])
+    return sp.csr_matrix((lap.data[entries], indices, np.concatenate(
+        ([0], np.cumsum(rows[keep])))), shape=(n * moved.size,) * 2)
 
 
 def is_connected(g: Graph) -> bool:

@@ -12,10 +12,10 @@ Each trial is built once, whether or not the step size is set: a first
 pass grows every label's trials, builds their weights, cost models and
 initial states, and takes their stability bounds, optima and metrics; the
 algebraic connectivity of all of a label's trials comes from one stacked
-solve on their disjoint union.  When
-the step size is left unset, the campaign integrates with half the most
-conservative of those bounds, so every label shares one step size.  Each
-label's built trials then integrate as one stacked system.
+solve on the Laplacian of their disjoint union.  When the step size is
+left unset, the campaign integrates with half the most conservative of
+those bounds, so every label shares one step size.  Each label's built
+trials then integrate as one stacked system on that union Laplacian.
 
 The campaign config document is read and echoed here, next to
 :class:`McConfig`; :mod:`clustopt.graph_io` only writes the results.
@@ -30,17 +30,16 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum, \
     optimum_curvatures, sample_cost
 from .dynamics import NodeState, SimConfig, TrialTrace, initialize, run_trials, \
-    stability_max_step
+    sim_to_dict, stability_max_step
 from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
 from .generators import BaParams, HkParams, _is_int, generate_ba, generate_hk
 from .graph_io import read_graph
 from .graphs import Graph, assign_random_weights, global_clustering, is_connected, \
-    laplacian_sparse
+    union_laplacian
 from .spectral import lambda2_blocks, spectral_report
 
 logger = logging.getLogger(__name__)
@@ -86,6 +85,13 @@ class CostSpec:
     family: str = "quartic"
     m: int = 20
 
+    def validate(self) -> None:
+        if self.family not in ("mlloss", "quartic"):
+            raise InvalidParamsError(
+                f"cost_spec.family must be mlloss or quartic, got {self.family!r}")
+        if self.m < 1:
+            raise InvalidParamsError(f"cost_spec.m must be >= 1, got {self.m}")
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -114,6 +120,7 @@ class McConfig:
         if self.resample_cost not in ("per_trial", "once"):
             raise InvalidParamsError(
                 f"resample_cost must be per_trial or once, got {self.resample_cost!r}")
+        self.cost_spec.validate()
         if self.sim.gap_tolerance != 0.0:
             raise InvalidParamsError(
                 "campaigns require gap_tolerance = 0 so all traces share one step grid")
@@ -127,17 +134,6 @@ def _integer(value, name: str) -> int:
     if not _is_int(value):
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def sim_to_dict(sim: SimConfig) -> dict:
-    return {
-        "alpha": sim.alpha,
-        "steps": sim.steps,
-        "h": sim.h,
-        "record_stride": sim.record_stride,
-        "gap_tolerance": sim.gap_tolerance,
-        "x_init_range": list(sim.x_init_range),
-    }
 
 
 def sim_from_dict(doc: dict) -> SimConfig:
@@ -360,22 +356,9 @@ def _all_failed(cfg: McConfig, topo: TopologySpec) -> ClustoptError:
         f"all {cfg.trials} trials of label {topo.label!r} failed")
 
 
-def _union_laplacian(trials: list[_Trial]) -> sp.csr_matrix:
-    """CSR Laplacian of the disjoint union of the trials' graphs, trial j on
-    nodes ``j * n`` to ``j * n + n - 1``; filled one trial at a time, so no
-    more than one trial's own Laplacian lives beside it."""
-    n, m = trials[0].model.n, len(trials)
-    nnz = sum(2 * len(t.edges) + n for t in trials)
-    data, indices = np.empty(nnz), np.empty(nnz, dtype=np.int32)
-    indptr, at = np.empty(m * n + 1, dtype=np.int64), 0
-    for j, t in enumerate(trials):
-        lap = laplacian_sparse(Graph(n, t.edges, t.weights))
-        data[at:at + lap.nnz] = lap.data
-        indices[at:at + lap.nnz] = lap.indices + j * n
-        indptr[j * n:(j + 1) * n] = lap.indptr[:-1] + at
-        at += lap.nnz
-    indptr[-1] = at
-    return sp.csr_matrix((data, indices, indptr), shape=(m * n, m * n))
+def _union(trials: list[_Trial]):
+    """The :func:`union_laplacian` of the trials' graphs, in trial order."""
+    return union_laplacian(trials[0].model.n, [(t.edges, t.weights) for t in trials])
 
 
 def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
@@ -406,8 +389,7 @@ def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
         except ClustoptError as exc:
             errors.append((ti, exc.code, str(exc)))
     if trials:
-        solved = zip(trials, lambda2_blocks(_union_laplacian(trials),
-                                            len(trials)))
+        solved = zip(trials, lambda2_blocks(_union(trials), len(trials)))
         trials = []
         for t, lam2 in solved:
             if isinstance(lam2, ClustoptError):
@@ -433,8 +415,9 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
     smallest stability bound over them.  A built trial keeps its int32
     edges (8 bytes per edge), weights, model, state, optimum and metrics,
     no graph and no CSR matrix.  A label's trials then integrate in one
-    ``run_trials`` call on Laplacians rebuilt from those records, and the
-    records are dropped once the label is done.
+    ``run_trials`` call on the union Laplacian of their graphs, rebuilt from
+    those records by the routine that gave their lambda2, and the records
+    are dropped once the label is done.
     """
     cfg.validate()
     file_cache: dict = {}
@@ -456,11 +439,9 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
         trials, errors, _ = built.pop(topo.label)
         traces: list[TrialTrace] = []
         kept_metrics = []
-        for t, trace in zip(trials, run_trials(  # Laplacians live for the call
-                [laplacian_sparse(Graph(t.model.n, t.edges, t.weights))
-                 for t in trials],
-                [t.model for t in trials], [t.state for t in trials],
-                [t.optimum for t in trials], sim)):
+        for t, trace in zip(trials, run_trials(  # the union lives for the call
+                _union(trials), [t.model for t in trials],
+                [t.state for t in trials], [t.optimum for t in trials], sim)):
             if trace.diverged:
                 logger.warning("label %s trial %d diverged at h=%g",
                                topo.label, t.index, h)

@@ -27,7 +27,8 @@ structural zeros a rank-one shift per component has moved far left (see
 :func:`convergence_rate`).  Each has a dense solver for small orders and a
 sparse one above them; the sparse Laplacian gap is this module's own block
 LOBPCG (:func:`_lobpcg`), which solves the gaps of many graphs of one order
-in one run, each with the bits it has alone (:func:`lambda2_blocks`).
+in one run on their union Laplacian from :mod:`clustopt.graphs`, each with
+the bits it has alone (:func:`lambda2_blocks`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     NotSymmetricError,
     SizeLimitError,
 )
-from .graphs import Graph, laplacian_sparse
+from .graphs import Graph, laplacian_blocks, laplacian_sparse
 
 # Order up to which the Laplacian gap uses the dense solver: the speed
 # crossover of one graph alone, not a correctness limit.  Median CPU of one
@@ -183,8 +184,8 @@ def lambda2_laplacian(g: Graph) -> float:
 def lambda2_blocks(lap: sp.csr_matrix,
                    m: int) -> list[float | ConvergenceError]:
     """:func:`lambda2_laplacian` of each of ``m`` graphs of one order ``n``,
-    given as the CSR Laplacian ``lap`` of their disjoint union: graph b is
-    nodes ``b * n`` to ``b * n + n - 1``.
+    given as the :func:`~clustopt.graphs.union_laplacian` ``lap`` of the
+    graphs: graph b is nodes ``b * n`` to ``b * n + n - 1``.
 
     Above ``DENSE_LIMIT``, or ``STACK_DENSE_LIMIT`` when ``m > 1``, the
     connected graphs are solved in one stacked :func:`_lobpcg` run, and
@@ -200,23 +201,11 @@ def lambda2_blocks(lap: sp.csr_matrix,
     if not connected.any():
         return lam2
     if not connected.all():  # a disconnected graph leaves the stack
-        lap, comps = _blocks(lap, n, connected), None
+        lap, comps = laplacian_blocks(lap, n, connected), None
     for b, gap in zip(np.flatnonzero(connected),
                       _laplacian_gap(lap, comps, connected.sum())):
         lam2[b] = gap if isinstance(gap, ConvergenceError) else _clamped(*gap)
     return lam2
-
-
-def _blocks(lap: sp.csr_matrix, n: int, keep: np.ndarray) -> sp.csr_matrix:
-    """The diagonal blocks ``keep`` (a mask) of a block-diagonal CSR matrix
-    of order-n blocks, as one such matrix with each row's entries in order."""
-    counts = np.diff(lap.indptr[::n])  # entries per block
-    entries, rows = np.repeat(keep, counts), np.diff(lap.indptr).reshape(-1, n)
-    moved = n * (np.flatnonzero(keep) - np.arange(np.count_nonzero(keep)))
-    indices = lap.indices[entries]
-    indices -= np.repeat(moved.astype(indices.dtype), counts[keep])
-    return sp.csr_matrix((lap.data[entries], indices, np.concatenate(
-        ([0], np.cumsum(rows[keep])))), shape=(n * moved.size,) * 2)
 
 
 def _only(results: list):
@@ -350,7 +339,7 @@ def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
             s, ls = both
             alive = np.isin(np.arange(m), live)
             lap = None  # one restacked matrix at a time, cut from the whole
-            lap, labels = _blocks(whole, n, alive), every[alive.repeat(n)]
+            lap, labels = laplacian_blocks(whole, n, alive), every[alive.repeat(n)]
         s[2:4] = r / deg
         deflate(s[2:4])
         ls[2], ls[3] = product(s[2]), product(s[3])

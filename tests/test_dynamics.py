@@ -21,7 +21,7 @@ from clustopt.dynamics import (
     stability_max_step,
 )
 from clustopt.errors import DimensionMismatchError, DisconnectedError, InvalidParamsError
-from clustopt.graphs import build_graph, laplacian, laplacian_sparse
+from clustopt.graphs import build_graph, laplacian, union_laplacian
 from clustopt.spectral import JacobianSpec, convergence_rate
 from helpers import complete_graph, random_connected_graph, reference_run, weighted_scale_free
 
@@ -282,7 +282,8 @@ def scale_free_trials(family, topo, count, seed, n=60):
 
 
 def stacked(graphs, models, states, cfg):
-    return run_trials([laplacian_sparse(g) for g in graphs], models, states,
+    union = union_laplacian(graphs[0].n, [(g.edges, g.weights) for g in graphs])
+    return run_trials(union, models, states,
                       [aggregate_optimum(m) for m in models], cfg)
 
 
@@ -332,9 +333,12 @@ class TestRunTrials:
 
     def test_one_wrong_size_trial_is_rejected(self):
         graphs, models, states, cfg = scale_free_trials("quartic", "ba", 3, 1)
-        states[1] = NodeState(states[1].x[:-1], states[1].y[:-1])
-        with pytest.raises(DimensionMismatchError):
-            stacked(graphs, models, states, cfg)
+        short = states[:1] + [NodeState(states[1].x[:-1], states[1].y[:-1])] \
+            + states[2:]
+        # a state one node short, and a union of two graphs for three trials
+        for g, s in ((graphs, short), (graphs[:2], states)):
+            with pytest.raises(DimensionMismatchError):
+                stacked(g, models, s, cfg)
 
     def test_families_cannot_mix(self):
         graphs, models, states, cfg = scale_free_trials("quartic", "ba", 2, 1)

@@ -12,6 +12,7 @@ from clustopt.errors import (
 )
 from clustopt.generators import HkParams, generate_hk
 from clustopt.graphs import (
+    Graph,
     assign_random_weights,
     build_graph,
     degree_histogram,
@@ -19,11 +20,13 @@ from clustopt.graphs import (
     global_clustering,
     is_connected,
     laplacian,
+    laplacian_blocks,
     laplacian_sparse,
     local_clustering,
     powerlaw_tail_slope,
     predicted_c_ba,
     predicted_c_hk,
+    union_laplacian,
 )
 from helpers import (
     brute_force_clustering,
@@ -97,6 +100,55 @@ class TestLaplacian:
             assert (np.diag(lap) >= 0).all()
             dense_from_sparse = laplacian_sparse(g).toarray()
             assert np.array_equal(dense_from_sparse, lap)
+
+
+def one_graph_union(graphs):
+    """Oracle: the Laplacian of one graph on the stacked edges, graph j
+    shifted to nodes ``j * n`` to ``j * n + n - 1``."""
+    n = graphs[0].n
+    return laplacian_sparse(Graph(
+        n * len(graphs),
+        np.vstack([g.edges + j * n for j, g in enumerate(graphs)]),
+        np.concatenate([g.weights for g in graphs])))
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestUnionLaplacian:
+    """The block layout of stacked graphs, against one-graph Laplacians."""
+
+    N = 25
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        # sparse with isolated nodes, edgeless, dense, and a clustered one
+        rng = np.random.default_rng(80)
+        return [assign_random_weights(g, rng) for g in (
+            random_graph(rng, self.N, 0.3), random_graph(rng, self.N, 0.05),
+            random_graph(rng, self.N, 0.0), random_graph(rng, self.N, 0.6),
+            generate_hk(HkParams(self.N, 3, 1), rng))]
+
+    def test_union_equals_one_graph_on_stacked_edges(self, graphs):
+        for count in (1, 2, len(graphs)):
+            part = graphs[:count]
+            assert_same_csr(union_laplacian(
+                self.N, [(g.edges, g.weights) for g in part]),
+                one_graph_union(part))
+
+    @pytest.mark.parametrize("keep", [
+        [True, False, False, False, False],
+        [False, False, False, False, True],
+        [True, False, True, False, True],
+        [True] * 5,
+    ], ids=["first", "last", "alternating", "all"])
+    def test_blocks_equal_union_of_kept_graphs(self, graphs, keep):
+        union = union_laplacian(self.N, [(g.edges, g.weights) for g in graphs])
+        assert_same_csr(laplacian_blocks(union, self.N, np.array(keep)),
+                        one_graph_union([g for g, k in zip(graphs, keep) if k]))
 
 
 class TestConnectivity:

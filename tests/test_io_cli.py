@@ -328,6 +328,8 @@ class TestCli:
         (("topologies", 0, "triad_links"), 1.7),
         (("topologies", 0, "n"), True),
         (("topologies", 0, "links"), True),
+        (("cost_spec", "family"), "foo"),
+        (("cost_spec", "m"), 0),
     ])
     def test_mc_malformed_config_exits_1(self, tmp_path, capsys, path, value):
         config = {

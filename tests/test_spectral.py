@@ -22,6 +22,7 @@ from clustopt.graphs import (
     build_graph,
     laplacian,
     laplacian_sparse,
+    union_laplacian,
 )
 from clustopt.spectral import (
     DENSE_LIMIT,
@@ -208,14 +209,8 @@ class TestLambda2:
         assert abs(lambda2_laplacian(g) - expected) <= 1e-8 * lam_max
 
 
-def _union_laplacian(graphs: list[Graph]) -> sp.csr_matrix:
-    """Laplacian of the disjoint union of graphs of one order, graph j on
-    the j-th node range."""
-    n = graphs[0].n
-    return laplacian_sparse(Graph(
-        n * len(graphs),
-        np.vstack([g.edges + j * n for j, g in enumerate(graphs)]),
-        np.concatenate([g.weights for g in graphs])))
+def _union(graphs: list[Graph]) -> sp.csr_matrix:
+    return union_laplacian(graphs[0].n, [(g.edges, g.weights) for g in graphs])
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
@@ -233,7 +228,7 @@ class TestStackedLambda2:
 
     def test_stack_matches_lone_bit_for_bit(self, graphs):
         assert self.N > DENSE_LIMIT
-        stacked = lambda2_blocks(_union_laplacian(graphs), len(graphs))
+        stacked = lambda2_blocks(_union(graphs), len(graphs))
         for g, lam2 in zip(graphs, stacked):
             vals = np.linalg.eigvalsh(laplacian(g))
             assert lam2 == lambda2_laplacian(g)
@@ -265,7 +260,7 @@ class TestStackedLambda2:
         monkeypatch.setattr(spectral, "LOBPCG_ITERS_PER_NODE", 400 / n)
         with pytest.raises(ConvergenceError, match="lost rank"):
             lambda2_laplacian(graphs[1])
-        got = lambda2_blocks(_union_laplacian(
+        got = lambda2_blocks(_union(
             [graphs[0], graphs[1], path, graphs[2], split, graphs[3]]), 6)
         assert [got[0], got[3], got[5]] == [lone[0], lone[2], lone[3]]
         assert got[4] == 0.0
