@@ -19,7 +19,8 @@ aggregate optimum.
 Trials of one order and one cost family integrate as one stacked system
 (:func:`run_trials`, of which :func:`run` is the one-trial case): one Euler
 step per time step on the union Laplacian of their graphs, laid out by
-:mod:`clustopt.graphs`, with the bits of each trial integrated alone.
+:mod:`clustopt.graphs`, with the bits of each trial integrated alone.  The
+stack is never cut: a trial that diverges or stops early is frozen in place.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum
 from .errors import DimensionMismatchError, DisconnectedError, DivergenceError, InvalidParamsError
-from .graphs import Graph, is_connected, laplacian_blocks, laplacian_sparse
+from .graphs import Graph, is_connected, laplacian_sparse
 
 
 @dataclass(frozen=True)
@@ -196,13 +197,6 @@ def run(g: Graph, model: CostModel, cfg: SimConfig,
                       [aggregate_optimum(model)], sim)[0]
 
 
-def _stack(models, trials):
-    """The family's model over the concatenated parameters of some trials."""
-    return type(models[trials[0]])(
-        a=np.concatenate([models[t].a for t in trials]),
-        b=np.concatenate([models[t].b for t in trials]))
-
-
 def run_trials(lap: sp.csr_matrix, models: list[CostModel],
                states: list[NodeState], optima: list[OptimumCertificate],
                cfg: SimConfig) -> list[TrialTrace]:
@@ -211,13 +205,13 @@ def run_trials(lap: sp.csr_matrix, models: list[CostModel],
     ``lap`` is the :func:`~clustopt.graphs.union_laplacian` of the trials'
     graphs, trial t on nodes ``t * n`` to ``t * n + n - 1``; trial t is that
     block, its cost model, initial state and aggregate optimum.  ``cfg.h``
-    must be set.  Each Euler step is one :func:`_step` on the union of the
-    running trials, and a trial's sums reduce its own contiguous rows, so
-    every trace is bit-identical to the trial run alone.  A trial whose
-    state turns non-finite is flagged diverged, and one whose recorded gap
-    reaches ``gap_tolerance`` stops; either leaves the stack with that
-    step's state as its final state, and the others are cut out of ``lap``
-    by :func:`~clustopt.graphs.laplacian_blocks`.
+    must be set.  Each Euler step is one :func:`_step` on the whole union,
+    and a trial's sums reduce its own contiguous rows, so every trace is
+    bit-identical to the trial run alone.  A trial whose state turns
+    non-finite is flagged diverged, and one whose recorded gap reaches
+    ``gap_tolerance`` stops; either is frozen with that step's state as its
+    final state.  Its rows stay in the stack, which never changes: a row
+    product and a row sum read no other trial's rows.
     """
     cfg.validate()
     if cfg.h is None or not models \
@@ -226,21 +220,22 @@ def run_trials(lap: sp.csr_matrix, models: list[CostModel],
                                  "per trial")
     n, count = _check_trials(lap, models, states), len(models)
 
-    live, m = np.arange(count), count  # the stacked trials, in trial order
-    model = _stack(models, live)
+    model = type(models[0])(a=np.concatenate([mo.a for mo in models]),
+                            b=np.concatenate([mo.b for mo in models]))
     x = np.concatenate([s.x for s in states])
     y = np.concatenate([s.y for s in states])
     gx = model.gradient_nodes(x)
     x_star, f_star = np.array([(c.x_star, c.f_star) for c in optima]).T
     grid = sorted({*range(0, cfg.steps + 1, cfg.record_stride), cfg.steps})
     rec = np.empty((count, 4, len(grid)))  # gap, lyapunov, consensus, tracking
-    gsum = np.add.reduce(gx.reshape(m, n), axis=1)
-    maxima = np.abs([np.add.reduce(y.reshape(m, n), axis=1) - gsum, gsum])
+    gsum = np.add.reduce(gx.reshape(count, n), axis=1)
+    maxima = np.abs([np.add.reduce(y.reshape(count, n), axis=1) - gsum, gsum])
     # each step's sums of y and of grad f, taken into the maxima at every
     # record and whenever the buffer is full; it has at most n rows
-    sums = np.empty((2, min(cfg.record_stride, cfg.steps, n), m))
+    sums = np.empty((2, min(cfg.record_stride, cfg.steps, n), count))
     r = pending = 0  # records taken, steps not yet in the maxima
-    # per trial once it leaves: records, diverged, both maxima, final (x, y)
+    running, m = np.ones(count, dtype=bool), count  # m: running trials
+    # per trial once it stops: records, diverged, both maxima, final (x, y)
     taken, diverged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
     last, final = np.empty((2, count)), np.empty((count, 2, n))
 
@@ -255,52 +250,48 @@ def run_trials(lap: sp.csr_matrix, models: list[CostModel],
 
     def record(resid: np.ndarray) -> None:
         nonlocal r
-        xs, ys = x.reshape(m, n), y.reshape(m, n)
+        xs, ys = x.reshape(count, n), y.reshape(count, n)
         xbar = xs.mean(axis=1)
-        gap = model.value_nodes(np.repeat(xbar, n)).reshape(m, n).sum(axis=1) \
-            - f_star[live]
-        rec[live, 0, r], rec[live, 3, r] = gap, resid
-        rec[live, 1, r] = 0.5 * (((xs - x_star[live, None]) ** 2).sum(axis=1)
-                                 + (ys ** 2).sum(axis=1))
-        rec[live, 2, r] = ((xs - xbar[:, None]) ** 2).sum(axis=1)
+        gap = model.value_nodes(np.repeat(xbar, n)).reshape(count, n).sum(axis=1) \
+            - f_star
+        rec[:, 0, r], rec[:, 3, r] = gap, resid
+        rec[:, 1, r] = 0.5 * (((xs - x_star[:, None]) ** 2).sum(axis=1)
+                              + (ys ** 2).sum(axis=1))
+        rec[:, 2, r] = ((xs - xbar[:, None]) ** 2).sum(axis=1)
         r += 1
         if cfg.gap_tolerance > 0:
-            leave(gap <= cfg.gap_tolerance, False)
+            stop(gap <= cfg.gap_tolerance, False)
 
-    def leave(mask: np.ndarray, failed: bool) -> None:
-        """Freeze the stacked trials of ``mask``; restack the others."""
-        nonlocal live, m, lap, model, x, y, gx, maxima, sums
-        if not mask.any():
-            return
-        if pending:
-            fold()
-        gone, keep = live[mask], ~mask
-        taken[gone], diverged[gone], last[:, gone] = r, failed, maxima[:, mask]
-        final[gone] = np.stack((x.reshape(m, n)[mask], y.reshape(m, n)[mask]), 1)
-        x, y, gx = (v.reshape(m, n)[keep].ravel() for v in (x, y, gx))
-        live, maxima, sums = live[keep], maxima[:, keep], sums[..., keep]
-        m = live.size
-        if m:
-            lap, model = laplacian_blocks(lap, n, keep), _stack(models, live)
+    def stop(mask: np.ndarray, failed: bool) -> None:
+        """Freeze the running trials of ``mask`` as they are now."""
+        nonlocal m
+        mask = mask & running
+        if mask.any():
+            if pending:
+                fold()
+            taken[mask], diverged[mask], last[:, mask] = r, failed, maxima[:, mask]
+            final[mask] = np.stack((x.reshape(count, n)[mask],
+                                    y.reshape(count, n)[mask]), 1)
+            running[mask], m = False, m - int(mask.sum())
 
-    record(maxima[0])
-    for k in range(1, cfg.steps + 1):
-        if not m:
-            break
-        x, y, gx, finite = _step(lap, model, x, y, gx, cfg.alpha, cfg.h)
-        if not finite:
-            leave(~(np.isfinite(x.reshape(m, n)).all(axis=1)
-                    & np.isfinite(y.reshape(m, n)).all(axis=1)), True)
+    # frozen rows go on to inf or NaN, which no running trial reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(maxima[0])
+        for k in range(1, cfg.steps + 1):
             if not m:
                 break
-        np.add.reduce(y.reshape(m, n), axis=1, out=sums[0, pending])
-        np.add.reduce(gx.reshape(m, n), axis=1, out=sums[1, pending])
-        pending += 1
-        if k == grid[r]:
-            record(fold())
-        elif pending == sums.shape[1]:
-            fold()
-    leave(np.ones(m, dtype=bool), False)
+            x, y, gx, finite = _step(lap, model, x, y, gx, cfg.alpha, cfg.h)
+            if not finite:
+                stop(~(np.isfinite(x.reshape(count, n)).all(axis=1)
+                       & np.isfinite(y.reshape(count, n)).all(axis=1)), True)
+            np.add.reduce(y.reshape(count, n), axis=1, out=sums[0, pending])
+            np.add.reduce(gx.reshape(count, n), axis=1, out=sums[1, pending])
+            pending += 1
+            if k == grid[r]:
+                record(fold())
+            elif pending == sums.shape[1]:
+                fold()
+        stop(running, False)
     return [TrialTrace(np.array(grid[:c], dtype=np.int64), *rec[t, :, :c].copy(),
                        diverged=bool(diverged[t]), h=cfg.h,
                        max_tracking_residual=float(last[0, t]),

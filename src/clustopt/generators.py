@@ -55,7 +55,7 @@ common-neighbor matrix would take ``4n²`` bytes, 1.6 GB at the size cap.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,14 +173,7 @@ class RewireReport:
     reached_target: bool
 
     def to_dict(self) -> dict:
-        return {
-            "swaps_attempted": self.swaps_attempted,
-            "swaps_accepted": self.swaps_accepted,
-            "swaps_rolled_back": self.swaps_rolled_back,
-            "initial_c": self.initial_c,
-            "final_c": self.final_c,
-            "reached_target": self.reached_target,
-        }
+        return asdict(self)
 
 
 def generate_ba(params: BaParams, rng: np.random.Generator) -> Graph:

@@ -13,15 +13,15 @@ ids.  Node ids are compacted to 0..n-1 in order of first appearance.
 
 The scatter and campaign emitters read the result objects of
 :mod:`clustopt.montecarlo` (``ScatterRow``, ``LabelSummary``, ``McSummary``)
-by attribute only, so this module never imports it; the campaign config
-reader lives next to ``McConfig``.
+by attribute and dataclass field only, so this module never imports it;
+the campaign config reader lives next to ``McConfig``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -226,27 +226,13 @@ def summary_to_dict(summary) -> dict:
     return {
         "h": summary.h,
         "config": summary.config,
-        "labels": [
-            {
-                "label": ls.label,
-                "recorded_steps": ls.recorded_steps.tolist(),
-                "mean_gap": ls.mean_gap.tolist(),
-                "mean_lyapunov": ls.mean_lyapunov.tolist(),
-                "mean_consensus_residual": ls.mean_consensus_residual.tolist(),
-                "mean_tracking_residual": ls.mean_tracking_residual.tolist(),
-                "final_gap_mean": ls.final_gap_mean,
-                "final_gap_std": ls.final_gap_std,
-                "mean_clustering": ls.mean_clustering,
-                "mean_avg_degree": ls.mean_avg_degree,
-                "mean_lambda2": ls.mean_lambda2,
-                "trial_count": ls.trial_count,
-                "diverged_count": ls.diverged_count,
-                "seeds": ls.seeds,
-                "errors": [list(e) for e in ls.errors],
-            }
-            for ls in summary.labels
-        ],
+        "labels": [{f.name: _plain(getattr(ls, f.name)) for f in fields(ls)}
+                   for ls in summary.labels],
     }
+
+
+def _plain(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def format_summary_json(summary) -> str:

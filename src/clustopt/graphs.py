@@ -19,7 +19,8 @@ here.
 Graphs of one order n solved or integrated as one stack sit on their
 disjoint union, graph j on nodes ``j * n`` to ``j * n + n - 1``: the
 Laplacian of that layout is built (:func:`union_laplacian`) and cut
-(:func:`laplacian_blocks`) here only.
+(:func:`laplacian_blocks`) here only.  Only the stacked lambda2 solve cuts
+it; an integrated stack keeps every block to the end.
 """
 
 from __future__ import annotations

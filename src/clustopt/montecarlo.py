@@ -330,12 +330,14 @@ def _trial_inputs(cfg: McConfig, g: Graph, rng: np.random.Generator,
     return wg, model, state
 
 
-def _shared_model(cfg: McConfig, topo: TopologySpec, label_index: int,
+def _shared_model(cfg: McConfig, topo: TopologySpec,
                   file_cache: dict) -> CostModel | None:
+    """The one cost model of every trial and label of this order under
+    ``resample_cost: "once"``, from a label-independent stream."""
     if cfg.resample_cost != "once":
         return None
     rng = np.random.default_rng(
-        trial_seed(cfg.base_seed, label_index, _ONCE_STREAM))
+        trial_seed(cfg.base_seed, _SHARED_LABEL, _ONCE_STREAM))
     g = _generate_topology(topo, np.random.default_rng(0), file_cache) \
         if topo.model == "file" else None
     n = g.n if g is not None else topo.n
@@ -373,7 +375,7 @@ def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
     any step goes to the ledger, in trial order; a label none of whose
     trials builds raises.
     """
-    shared = _shared_model(cfg, topo, label_index, file_cache)
+    shared = _shared_model(cfg, topo, file_cache)
     trials: list[_Trial] = []
     errors: list[tuple[int, str, str]] = []
     bound = np.inf

@@ -281,6 +281,12 @@ def scale_free_trials(family, topo, count, seed, n=60):
     return graphs, models, states, replace(cfg, h=h)
 
 
+def blow_up(models, states, t):
+    """Make trial t diverge within a few steps at the trials' common h."""
+    models[t] = QuarticModel(a=models[t].a * 1e4, b=models[t].b)
+    states[t] = NodeState(states[t].x, models[t].gradient_nodes(states[t].x))
+
+
 def stacked(graphs, models, states, cfg):
     union = union_laplacian(graphs[0].n, [(g.edges, g.weights) for g in graphs])
     return run_trials(union, models, states,
@@ -327,6 +333,32 @@ class TestRunTrials:
         traces = stacked(graphs, models, states, cfg)
         stops = {int(t.recorded_steps[-1]) for t in traces}
         assert len(stops) > 1 and cfg.steps in stops
+        for g, m, s, got in zip(graphs, models, states, traces):
+            assert_same_trace(got, reference_run(g, m, cfg, None,
+                                                 initial_state=s))
+
+    def test_frozen_trials_leave_the_others_alone(self):
+        """One trial diverges and one stops on the gap tolerance; both stay
+        in the stack, frozen, and every trace is the trial run alone."""
+        graphs, models, states, cfg = scale_free_trials("quartic", "hk", 5, 1)
+        blow_up(models, states, 3)
+        # only trial 1 records a gap this small, near step 180 of 300
+        cfg = replace(cfg, gap_tolerance=1e-4)
+        traces = stacked(graphs, models, states, cfg)
+        assert [t.diverged for t in traces] == [False] * 3 + [True, False]
+        ends = [int(t.recorded_steps[-1]) for t in traces]
+        assert ends[1] < cfg.steps and ends[0] == ends[2] == ends[4] == cfg.steps
+        for g, m, s, got in zip(graphs, models, states, traces):
+            assert_same_trace(got, reference_run(g, m, cfg, None,
+                                                 initial_state=s))
+
+    def test_all_but_one_trial_diverge(self):
+        graphs, models, states, cfg = scale_free_trials("quartic", "ba", 5, 2)
+        for t in range(4):
+            blow_up(models, states, t)
+        traces = stacked(graphs, models, states, cfg)
+        assert [t.diverged for t in traces] == [True] * 4 + [False]
+        assert traces[4].recorded_steps[-1] == cfg.steps
         for g, m, s, got in zip(graphs, models, states, traces):
             assert_same_trace(got, reference_run(g, m, cfg, None,
                                                  initial_state=s))

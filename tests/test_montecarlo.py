@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clustopt.dynamics import SimConfig
+from clustopt.dynamics import SimConfig, run_trials
 from clustopt.errors import ClustoptError, IndexOutOfRangeError, InvalidParamsError
 from clustopt.graph_io import format_summary_json
 from clustopt.graphs import build_graph
@@ -164,6 +164,24 @@ class TestRunMc:
             sim=cfg.sim, trials=2, base_seed=5, resample_cost="once")
         summary = run_mc(cfg_once)
         assert summary.labels[0].trial_count == 2
+
+    def test_resample_once_shares_model_across_labels(self, monkeypatch):
+        """Under "once", every trial of both equal-order labels integrates
+        on one cost model, as trial t of each does under "per_trial"."""
+        from clustopt import montecarlo
+
+        used = []
+
+        def recording_run_trials(lap, models, *rest):
+            used.extend(models)
+            return run_trials(lap, models, *rest)
+
+        monkeypatch.setattr(montecarlo, "run_trials", recording_run_trials)
+        run_mc(replace(small_config(trials=2), resample_cost="once"))
+        assert len(used) == 4
+        for model in used:
+            assert np.array_equal(model.a, used[0].a)
+            assert np.array_equal(model.b, used[0].b)
 
 
 def _with_h(cfg, h):
