@@ -26,14 +26,14 @@ stack is never cut: a trial that diverges or stops early is frozen in place.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum
 from .errors import DimensionMismatchError, DisconnectedError, DivergenceError, InvalidParamsError
+from .generators import _is_real
 from .graphs import Graph, is_connected, laplacian_sparse
 
 
@@ -61,14 +61,8 @@ class SimConfig:
         if self.steps < 0 or self.record_stride < 1 or self.gap_tolerance < 0:
             raise InvalidParamsError("steps >= 0, record_stride >= 1, gap_tolerance >= 0")
         r = self.x_init_range
-        if not (len(r) == 2 and all(isinstance(v, numbers.Real) for v in r)
-                and r[0] <= r[1]):
+        if not (len(r) == 2 and all(map(_is_real, r)) and r[0] <= r[1]):
             raise InvalidParamsError(f"bad x_init_range {list(r)}")
-
-
-def sim_to_dict(sim: SimConfig) -> dict:
-    """The JSON form of ``sim``, as campaign configs and trace metadata echo it."""
-    return {**asdict(sim), "x_init_range": list(sim.x_init_range)}
 
 
 @dataclass

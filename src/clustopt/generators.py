@@ -78,6 +78,11 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """True for real numbers, False for bools (a bool is a numbers.Real)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BaParams:
     """Preferential-attachment growth parameters.

@@ -14,19 +14,20 @@ ids.  Node ids are compacted to 0..n-1 in order of first appearance.
 The scatter and campaign emitters read the result objects of
 :mod:`clustopt.montecarlo` (``ScatterRow``, ``LabelSummary``, ``McSummary``)
 by attribute and dataclass field only, so this module never imports it;
-the campaign config reader lives next to ``McConfig``.
+:func:`to_plain` writes them and the config dataclasses, whose reader lives
+next to ``McConfig``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .dynamics import SimConfig, TrialTrace, sim_to_dict
+from .dynamics import SimConfig, TrialTrace
 from .errors import (
     DuplicateEdgeError,
     EmptyGraphError,
@@ -191,7 +192,7 @@ def write_trace_csv(trace: TrialTrace, path: str) -> None:
 
 def write_trace_meta(path: str, cfg: SimConfig, trace: TrialTrace,
                      seed: int | None) -> None:
-    doc = {**sim_to_dict(cfg), "h": trace.h, "seed": seed,
+    doc = {**to_plain(cfg), "h": trace.h, "seed": seed,
            "diverged": trace.diverged,
            "max_tracking_residual": trace.max_tracking_residual}
     with open(path, "w", encoding="utf-8") as fh:
@@ -222,17 +223,27 @@ def write_scatter_csv(rows, path: str) -> None:
 # -- campaign summary ------------------------------------------------------
 
 
+def to_plain(obj):
+    """The JSON form of a dataclass, field by field, with tuples and arrays
+    as lists; a class whose ``echo_defaults`` is false leaves out every field
+    equal to its default."""
+    if isinstance(obj, tuple):
+        return [to_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if not is_dataclass(obj):
+        return obj
+    keep = getattr(obj, "echo_defaults", True)
+    return {f.name: to_plain(getattr(obj, f.name)) for f in fields(obj)
+            if keep or getattr(obj, f.name) != f.default}
+
+
 def summary_to_dict(summary) -> dict:
     return {
         "h": summary.h,
         "config": summary.config,
-        "labels": [{f.name: _plain(getattr(ls, f.name)) for f in fields(ls)}
-                   for ls in summary.labels],
+        "labels": [to_plain(ls) for ls in summary.labels],
     }
-
-
-def _plain(value):
-    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def format_summary_json(summary) -> str:

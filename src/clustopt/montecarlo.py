@@ -17,27 +17,27 @@ left unset, the campaign integrates with half the most conservative of
 those bounds, so every label shares one step size.  Each label's built
 trials then integrate as one stacked system on that union Laplacian.
 
-The campaign config document is read and echoed here, next to
-:class:`McConfig`; :mod:`clustopt.graph_io` only writes the results.
+The campaign config document is read here, next to :class:`McConfig`, by
+the dataclass fields; :func:`clustopt.graph_io.to_plain` echoes it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import numbers
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+import os
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import ClassVar, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum, \
     optimum_curvatures, sample_cost
 from .dynamics import NodeState, SimConfig, TrialTrace, initialize, run_trials, \
-    sim_to_dict, stability_max_step
+    stability_max_step
 from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
-from .generators import BaParams, HkParams, _is_int, generate_ba, generate_hk
-from .graph_io import read_graph
+from .generators import BaParams, HkParams, _is_int, _is_real, generate_ba, generate_hk
+from .graph_io import read_graph, to_plain as config_to_dict
 from .graphs import Graph, assign_random_weights, global_clustering, is_connected, \
     union_laplacian
 from .spectral import lambda2_blocks, spectral_report
@@ -47,6 +47,12 @@ logger = logging.getLogger(__name__)
 _MASK64 = (1 << 64) - 1
 _ONCE_STREAM = (1 << 63) - 1   # reserved trial index for shared cost models
 _SHARED_LABEL = (1 << 63) - 1  # reserved label index: cost/init stream
+
+
+# the fields each model takes besides label and model
+_MODEL_FIELDS = {"ba": ("n", "links", "seed_size"),
+                 "hk": ("n", "links", "triad_links", "seed_size"),
+                 "file": ("path",)}
 
 
 @dataclass(frozen=True)
@@ -60,24 +66,28 @@ class TopologySpec:
     triad_links: int = 0
     seed_size: int | None = None
     path: str | None = None
+    # validate holds each field that the model does not take at its default,
+    # so the config echo can leave out every field at its default
+    echo_defaults: ClassVar[bool] = False
 
     def validate(self) -> None:
-        if self.model in ("ba", "hk"):
-            if self.n is None or self.links is None:
+        if not isinstance(self.label, str) or set(self.label) & {"/", os.sep, "\0"}:
+            raise InvalidParamsError(
+                f"topology label {self.label!r} cannot be part of a file name")
+        if self.model not in _MODEL_FIELDS:
+            raise InvalidParamsError(
+                f"topology {self.label!r}: unknown model {self.model!r}")
+        for f in fields(self)[2:]:  # past label and model
+            if f.name not in _MODEL_FIELDS[self.model] \
+                    and getattr(self, f.name) != f.default:
                 raise InvalidParamsError(
-                    f"topology {self.label!r}: generator needs n and links")
-            if self.model == "ba":
-                BaParams(self.n, self.links, self.seed_size).validate()
-            else:
-                HkParams(self.n, self.links, self.triad_links,
-                         self.seed_size).validate()
-        elif self.model == "file":
+                    f"topology {self.label!r}: model {self.model!r} takes no {f.name}")
+        if self.model == "file":
             if not self.path:
                 raise InvalidParamsError(
                     f"topology {self.label!r}: file topology needs a path")
-        else:
-            raise InvalidParamsError(
-                f"topology {self.label!r}: unknown model {self.model!r}")
+        else:  # ba is hk with triad_links 0, the only value it takes
+            HkParams(self.n, self.links, self.triad_links, self.seed_size).validate()
 
 
 @dataclass(frozen=True)
@@ -109,11 +119,9 @@ class McConfig:
         if self.trials < 1:
             raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
         w = self.weight_range
-        if not (len(w) == 2 and all(isinstance(v, numbers.Real) for v in w)
-                and 0 < w[0] <= w[1]):
+        if not (len(w) == 2 and all(map(_is_real, w)) and 0 < w[0] <= w[1]):
             raise InvalidParamsError(
-                f"weight_range must be [low, high] with 0 < low <= high, "
-                f"got {list(w)}")
+                f"weight_range must be [low, high] with 0 < low <= high, got {list(w)}")
         labels = [t.label for t in self.topologies]
         if len(set(labels)) != len(labels):
             raise InvalidParamsError(f"duplicate topology labels in {labels}")
@@ -129,78 +137,58 @@ class McConfig:
         self.sim.validate()
 
 
-def _integer(value, name: str) -> int:
-    """A config field that must be an integer: no bool, float or string."""
-    if not _is_int(value):
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+_SCALARS = {int: ("an integer", _is_int), float: ("a number", _is_real),
+            str: ("a string", lambda v: isinstance(v, str))}
 
 
-def sim_from_dict(doc: dict) -> SimConfig:
-    return SimConfig(
-        alpha=float(doc["alpha"]),
-        steps=_integer(doc["steps"], "sim.steps"),
-        h=None if doc.get("h") is None else float(doc["h"]),
-        record_stride=_integer(doc.get("record_stride", 1),
-                               "sim.record_stride"),
-        gap_tolerance=float(doc.get("gap_tolerance", 0.0)),
-        x_init_range=tuple(doc.get("x_init_range", (-5.0, 5.0))),
-    )
+def _read(hint, value, where: str):
+    """``value`` as a field of type ``hint``: no bool where a number goes,
+    no string for a number, and no integer rounded."""
+    args = get_args(hint)
+    if type(None) in args:  # ``X | None``
+        return None if value is None else _read(args[0], value, where)
+    if is_dataclass(hint):
+        return _from_dict(hint, value, where)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidParamsError(f"{where} must be a list, got {value!r}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(items):
+            raise InvalidParamsError(f"{where} must list {len(items)} values, got {value!r}")
+        return tuple(_read(t, v, f"{where}[{i}]")
+                     for i, (t, v) in enumerate(zip(items, value)))
+    kind, ok = _SCALARS[hint]
+    if not ok(value):
+        raise InvalidParamsError(f"{where} must be {kind}, got {value!r}")
+    return hint(value)
 
 
-def topology_to_dict(t: TopologySpec) -> dict:
-    doc: dict = {"label": t.label, "model": t.model}
-    if t.model in ("ba", "hk"):
-        doc["n"] = t.n
-        doc["links"] = t.links
-        if t.model == "hk":
-            doc["triad_links"] = t.triad_links
-        if t.seed_size is not None:
-            doc["seed_size"] = t.seed_size
-    else:
-        doc["path"] = t.path
-    return doc
-
-
-def topology_from_dict(doc: dict) -> TopologySpec:
-    return TopologySpec(
-        label=str(doc["label"]),
-        model=str(doc["model"]),
-        n=doc.get("n"),
-        links=doc.get("links"),
-        triad_links=_integer(doc.get("triad_links", 0), "triad_links"),
-        seed_size=doc.get("seed_size"),
-        path=doc.get("path"),
-    )
-
-
-def config_to_dict(cfg: McConfig) -> dict:
-    return {
-        "topologies": [topology_to_dict(t) for t in cfg.topologies],
-        "cost_spec": {"family": cfg.cost_spec.family, "m": cfg.cost_spec.m},
-        "sim": sim_to_dict(cfg.sim),
-        "trials": cfg.trials,
-        "base_seed": cfg.base_seed,
-        "weight_range": list(cfg.weight_range),
-        "resample_cost": cfg.resample_cost,
-    }
+def _from_dict(cls, doc, where: str = ""):
+    """The config dataclass ``cls`` read from the JSON object ``doc``: each
+    key names a field, and a field with a default, or a section of such
+    fields, may be left out."""
+    if not isinstance(doc, dict):
+        raise InvalidParamsError(f"{where or 'config'} must be an object, got {doc!r}")
+    prefix = f"{where}." if where else ""
+    names = {f.name for f in fields(cls)}
+    unknown = [key for key in doc if key not in names]
+    if unknown:
+        raise InvalidParamsError(f"unknown key {prefix}{unknown[0]}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        hint, path = hints[f.name], prefix + f.name
+        if f.name in doc:
+            kwargs[f.name] = _read(hint, doc[f.name], path)
+        elif is_dataclass(hint) and all(g.default is not MISSING for g in fields(hint)):
+            kwargs[f.name] = hint()
+        elif f.default is MISSING:
+            raise GraphParseError(f"malformed campaign config: missing key {path}")
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> McConfig:
-    try:
-        cost = doc.get("cost_spec", {})
-        return McConfig(
-            topologies=tuple(topology_from_dict(t) for t in doc["topologies"]),
-            cost_spec=CostSpec(family=cost.get("family", "quartic"),
-                               m=_integer(cost.get("m", 20), "cost_spec.m")),
-            sim=sim_from_dict(doc["sim"]),
-            trials=_integer(doc["trials"], "trials"),
-            base_seed=_integer(doc["base_seed"], "base_seed"),
-            weight_range=tuple(doc.get("weight_range", (0.5, 1.5))),
-            resample_cost=str(doc.get("resample_cost", "per_trial")),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise GraphParseError(f"malformed campaign config: {exc}") from exc
+    return _from_dict(McConfig, doc)
 
 
 def read_config(path: str) -> McConfig:

@@ -330,6 +330,22 @@ class TestCli:
         (("topologies", 0, "links"), True),
         (("cost_spec", "family"), "foo"),
         (("cost_spec", "m"), 0),
+        # a bool or a string where a number goes is not coerced
+        (("sim", "alpha"), True),
+        (("sim", "alpha"), "1e0"),
+        (("sim", "gap_tolerance"), "0"),
+        (("weight_range",), [True, 2]),
+        (("sim", "x_init_range"), [False, True]),
+        (("topologies", 0, "label"), 5),
+        # a key that names no field is not ignored
+        (("resample_costs",), "once"),
+        (("topologies", 0, "bogus"), 1),
+        # a field its model does not take
+        (("topologies", 0, "triad_links"), 2),
+        # a label that cannot be part of mean_trace_<label>.csv
+        (("topologies", 0, "label"), "a/b"),
+        (("topologies", 0, "label"), "../escaped"),
+        (("sim",), [1]),
     ])
     def test_mc_malformed_config_exits_1(self, tmp_path, capsys, path, value):
         config = {

@@ -1,10 +1,15 @@
-from dataclasses import replace
+import json
+import os
+import pathlib
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from clustopt.dynamics import SimConfig, run_trials
-from clustopt.errors import ClustoptError, IndexOutOfRangeError, InvalidParamsError
+from clustopt.errors import ClustoptError, GraphParseError, IndexOutOfRangeError, \
+    InvalidParamsError
 from clustopt.graph_io import format_summary_json
 from clustopt.graphs import build_graph
 from clustopt.montecarlo import (
@@ -14,6 +19,8 @@ from clustopt.montecarlo import (
     McSummary,
     TopologySpec,
     compare_topologies,
+    config_from_dict,
+    config_to_dict,
     run_mc,
     scatter_report,
     trial_seed,
@@ -55,6 +62,79 @@ class TestTrialSeed:
     def test_negative_indices_rejected(self):
         with pytest.raises(InvalidParamsError):
             trial_seed(1, -1, 0)
+
+
+def _campaign_doc():
+    """A valid campaign config document with every section present."""
+    return config_to_dict(McConfig(
+        topologies=(TopologySpec(label="CSF", model="hk", n=30, links=3,
+                                 triad_links=1),),
+        cost_spec=CostSpec(), sim=SimConfig(alpha=1.0, steps=10),
+        trials=1, base_seed=3))
+
+
+class TestConfigReader:
+    # where each config dataclass sits in a campaign config document
+    SECTIONS = {McConfig: lambda doc: doc,
+                TopologySpec: lambda doc: doc["topologies"][0],
+                CostSpec: lambda doc: doc["cost_spec"],
+                SimConfig: lambda doc: doc["sim"]}
+
+    @pytest.mark.parametrize("cls", list(SECTIONS), ids=lambda c: c.__name__)
+    def test_a_bool_is_valid_in_no_field(self, cls):
+        config_from_dict(_campaign_doc()).validate()
+        for f in fields(cls):
+            doc = _campaign_doc()
+            self.SECTIONS[cls](doc)[f.name] = True
+            with pytest.raises(InvalidParamsError, match=f.name):
+                config_from_dict(doc).validate()
+
+    def test_missing_required_key_is_a_parse_error(self):
+        doc = _campaign_doc()
+        del doc["sim"]["steps"]
+        with pytest.raises(GraphParseError, match="sim.steps"):
+            config_from_dict(doc)
+
+    def test_optional_keys_and_sections_may_be_left_out(self):
+        doc = _campaign_doc()
+        for key in ("cost_spec", "weight_range", "resample_cost"):
+            del doc[key]
+        doc["sim"] = {"alpha": 1.0, "steps": 10}
+        doc["topologies"] = [{"label": "SF", "model": "ba", "n": 30, "links": 3}]
+        cfg = config_from_dict(doc)
+        assert cfg.cost_spec == CostSpec()
+        assert cfg.sim == SimConfig(alpha=1.0, steps=10)
+        assert cfg.topologies == (TopologySpec("SF", "ba", 30, 3),)
+
+    def test_readme_example_round_trips(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        block = re.search(r"### Campaign config\n.*?```json\n(.*?)```",
+                          readme.read_text(encoding="utf-8"), re.S)
+        doc = json.loads(block.group(1))
+        assert config_to_dict(config_from_dict(doc)) == doc
+
+    @pytest.mark.parametrize("topo", [
+        TopologySpec("SF", "ba", 30, 3, path="g.json"),
+        TopologySpec("CSF", "hk", 30, 3, 1, path="g.json"),
+        TopologySpec("F", "file", n=30, path="g.json"),
+        TopologySpec("F", "file", links=3, path="g.json"),
+        TopologySpec("F", "file", triad_links=1, path="g.json"),
+        TopologySpec("F", "file", seed_size=3, path="g.json"),
+    ])
+    def test_field_foreign_to_the_model_rejected(self, topo):
+        with pytest.raises(InvalidParamsError, match="takes no"):
+            topo.validate()
+
+    @pytest.mark.parametrize("label", [f"a{os.sep}b", "a\0b"])
+    def test_label_that_is_no_file_name_part_rejected(self, label):
+        with pytest.raises(InvalidParamsError, match="file name"):
+            TopologySpec(label, "ba", 30, 3).validate()
+
+    def test_bool_pairs_rejected_in_python_configs(self):
+        with pytest.raises(InvalidParamsError, match="weight_range"):
+            replace(small_config(), weight_range=(True, 2)).validate()
+        with pytest.raises(InvalidParamsError, match="x_init_range"):
+            SimConfig(alpha=1.0, steps=1, x_init_range=(False, True)).validate()
 
 
 class TestRunMc:
