@@ -55,6 +55,7 @@ common-neighbor matrix would take ``4n²`` bytes, 1.6 GB at the size cap.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -79,8 +80,9 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    """True for real numbers, False for bools (a bool is a numbers.Real)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """True for finite reals, False for bools (a bool is a numbers.Real)."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ class McConfig:
         self.sim.validate()
 
 
-_SCALARS = {int: ("an integer", _is_int), float: ("a number", _is_real),
+_SCALARS = {int: ("an integer", _is_int), float: ("a finite number", _is_real),
             str: ("a string", lambda v: isinstance(v, str))}
 
 

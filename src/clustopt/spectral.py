@@ -24,11 +24,12 @@ Both measures set the structural zeros aside by the connected components:
 the algebraic connectivity is the smallest Laplacian eigenvalue orthogonal
 to the component indicators, and the rate is read off a Jacobian whose
 structural zeros a rank-one shift per component has moved far left (see
-:func:`convergence_rate`).  Each has a dense solver for small orders and a
-sparse one above them; the sparse Laplacian gap is this module's own block
-LOBPCG (:func:`_lobpcg`), which solves the gaps of many graphs of one order
-in one run on their union Laplacian from :mod:`clustopt.graphs`, each with
-the bits it has alone (:func:`lambda2_blocks`).
+:func:`convergence_rate`).  Each has a dense solver for one graph of small
+order and a sparse one above it; the sparse Laplacian gap is this module's
+own block LOBPCG (:func:`_lobpcg`), whose bits do not depend on the BLAS
+thread count.  :func:`lambda2_blocks` solves many graphs of one order by it
+from ``LOBPCG_MIN_ORDER`` up, in one run on their union Laplacian from
+:mod:`clustopt.graphs`, each with the bits it has alone.
 """
 
 from __future__ import annotations
@@ -52,20 +53,20 @@ from .errors import (
 )
 from .graphs import Graph, laplacian_blocks, laplacian_sparse
 
-# Order up to which the Laplacian gap uses the dense solver: the speed
-# crossover of one graph alone, not a correctness limit.  Median CPU of one
-# dsyevr eigenvalue against _lobpcg on eight weighted BA and HK graphs
-# (links=6, best of 5; 2 vCPU Xeon, one BLAS thread): 5.7 against 14.8 ms
-# at n = 300, 10.0 against 11.9 ms at 400, 13.1 against 15.3 ms at 450,
-# 16.3 against 15.9 ms at 500, 24.4 against 15.0 ms at 600 and 51.5 against
-# 21.2 ms at 800.  Graphs solved as one stack (lambda2_blocks) cost less
-# each: 20 at n = 500 about 8 ms each.  Above the limit lambda2 has the same
-# bits for any BLAS thread count; the dsyevr branch below it does not.
+# Order up to which the gap of one graph alone uses the dense solver: the
+# speed crossover, not a correctness limit.  Median CPU of one dsyevr
+# eigenvalue against _lobpcg on eight weighted BA and HK graphs (links=6,
+# best of 5; 2 vCPU Xeon, one BLAS thread): 5.7 against 14.8 ms at n = 300,
+# 10.0 against 11.9 ms at 400, 13.1 against 15.3 ms at 450, 16.3 against
+# 15.9 ms at 500, 24.4 against 15.0 ms at 600 and 51.5 against 21.2 ms at
+# 800.  dsyevr's last bits can depend on the BLAS thread count.
 DENSE_LIMIT = 450
-# The limit for a stack of graphs (m > 1): dsyevr's bits differed between 1
-# and 2 OpenBLAS threads on 0 of 12 weighted HK graphs at each n = 30-150,
-# on 5 of 12 at 300.  Stacked, _lobpcg costs at most 1.3 ms more per graph.
-STACK_DENSE_LIMIT = 150
+# Order from which lambda2_blocks solves graphs by _lobpcg, whatever their
+# number.  On stacks of 40 weighted BA, HK and path graphs, most graphs at
+# n = 4, 6 and 8 lost the rank of the block-2 basis; from n = 9 to 16 all
+# 2,000 per order matched eigvalsh within 1e-12 times the scale.  dsyevr's
+# bits matched on 1 and 2 OpenBLAS threads for 1,350 graphs at n = 3-11.
+LOBPCG_MIN_ORDER = 12
 DEFAULT_SIZE_CAP = 20000
 # LOBPCG stops once the residual norm is below LOBPCG_TOL times the
 # Gershgorin bound on the largest Laplacian eigenvalue.  A Laplacian
@@ -175,97 +176,95 @@ def lambda2_laplacian(g: Graph) -> float:
     raised when its residual is still above ``LOBPCG_TOL`` times twice the
     largest weighted degree after ``LOBPCG_ITERS_PER_NODE * n``
     iterations.  Values within 1e-12 times that bound of the structural
-    zero are clamped to exactly 0.  This is :func:`lambda2_blocks` of one
-    graph.
+    zero are clamped to exactly 0.
     """
-    return _only(lambda2_blocks(laplacian_sparse(g), 1))
+    return _lambda2(laplacian_sparse(g))[0]
+
+
+def _lambda2(lap: sp.csr_matrix) -> tuple[float, float | None]:
+    """Clamped algebraic connectivity of a Laplacian, and its gap if solved."""
+    comps = connected_components(lap, directed=False)
+    if lap.shape[0] < 2 or comps[0] > 1:
+        return 0.0, None
+    gap, scale = _laplacian_gap(lap, comps)
+    return _clamped(gap, scale), gap
 
 
 def lambda2_blocks(lap: sp.csr_matrix,
                    m: int) -> list[float | ConvergenceError]:
-    """:func:`lambda2_laplacian` of each of ``m`` graphs of one order ``n``,
-    given as the :func:`~clustopt.graphs.union_laplacian` ``lap`` of the
-    graphs: graph b is nodes ``b * n`` to ``b * n + n - 1``.
+    """The clamped algebraic connectivity of each of ``m`` graphs of one
+    order ``n``, given as their :func:`~clustopt.graphs.union_laplacian`
+    ``lap``: graph b is nodes ``b * n`` to ``b * n + n - 1``.
 
-    Above ``DENSE_LIMIT``, or ``STACK_DENSE_LIMIT`` when ``m > 1``, the
-    connected graphs are solved in one stacked :func:`_lobpcg` run, and
-    each value has the bits of its graph solved alone.  A graph whose solve
-    fails has its ``ConvergenceError`` in its place; the others keep their
-    values.
+    From ``LOBPCG_MIN_ORDER`` up, for any ``m``, the connected graphs are
+    solved in one stacked :func:`_lobpcg` run, and each value has the bits
+    of its graph solved alone; below it each is a LAPACK eigenvalue.  A
+    graph whose solve fails has its ``ConvergenceError`` in its place.
     """
     n = lap.shape[0] // m
-    comps = connected_components(lap, directed=False)
-    labels = comps[1].reshape(m, n)
+    labels = connected_components(lap, directed=False)[1].reshape(m, n)
     lam2: list = [0.0] * m
     connected = (labels == labels[:, :1]).all(axis=1) & (n > 1)
-    if not connected.any():
+    blocks = np.flatnonzero(connected)
+    k = blocks.size
+    if n < LOBPCG_MIN_ORDER or k == 0:  # below the floor: dsyevr each
+        for b in blocks:
+            rows = slice(b * n, b * n + n)
+            try:
+                lam2[b] = _clamped(*_laplacian_gap(lap[rows, rows]))
+            except ConvergenceError as exc:
+                lam2[b] = exc
         return lam2
-    if not connected.all():  # a disconnected graph leaves the stack
-        lap, comps = laplacian_blocks(lap, n, connected), None
-    for b, gap in zip(np.flatnonzero(connected),
-                      _laplacian_gap(lap, comps, connected.sum())):
-        lam2[b] = gap if isinstance(gap, ConvergenceError) else _clamped(*gap)
+    if k < m:  # a disconnected graph leaves the stack
+        lap = laplacian_blocks(lap, n, connected)
+    scale = 2.0 * lap.diagonal().reshape(k, n).max(axis=1)
+    gaps = _lobpcg(lap, k, np.arange(k).repeat(n), np.full(k, n))
+    for b, gap, s in zip(blocks, gaps, scale):
+        lam2[b] = gap if isinstance(gap, ConvergenceError) else _clamped(gap, s)
     return lam2
-
-
-def _only(results: list):
-    """The one entry of a one-block result, or its error raised."""
-    (result,) = results
-    if isinstance(result, ConvergenceError):
-        raise result
-    return result
 
 
 def _clamped(lam2: float, scale: float) -> float:
     return 0.0 if abs(lam2) <= 1e-12 * max(1.0, scale) else lam2
 
 
-def _laplacian_gap(lap: np.ndarray | sp.spmatrix, comps: tuple | None = None,
-                   m: int = 1) -> list[tuple[float, float] | ConvergenceError]:
-    """Smallest Laplacian eigenvalue orthogonal to the component indicators,
-    with the Gershgorin bound on the largest, the scale of its rounding, for
-    each of the ``m`` diagonal blocks of ``lap``, all of one order; a block
-    whose solve fails has its ``ConvergenceError`` in its place.
+def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
+                   comps: tuple | None = None) -> tuple[float, float]:
+    """Smallest eigenvalue orthogonal to the component indicators of the
+    Laplacian ``lap`` of one graph, with the Gershgorin bound on the
+    largest, the scale of its rounding.
 
     ``comps`` is ``connected_components(lap)`` where the caller has it.  Up
-    to ``DENSE_LIMIT`` for one block and ``STACK_DENSE_LIMIT`` for more:
-    each block's eigenvalue ``ncomp`` by LAPACK ``dsyevr``; above it, one
-    :func:`_lobpcg` run on the whole stack, kept off the indicators by
-    subtracting each component's mean.  Isolated nodes, which only a lone
-    block (m = 1) may have, are dropped first.
-    ``AllZeroError`` when every node is its own component.
+    to ``DENSE_LIMIT``: eigenvalue ``ncomp`` by LAPACK ``dsyevr``; above it,
+    one :func:`_lobpcg` run without the isolated nodes.  ``AllZeroError``
+    when every node is its own component.
     """
-    n = lap.shape[0] // m
-    if n <= STACK_DENSE_LIMIT and m > 1:  # one dense solve per block
-        return [gap for b in range(0, m * n, n)
-                for gap in _laplacian_gap(lap[b:b + n, b:b + n])]
     ncomp, labels = comps or connected_components(lap, directed=False)
-    if ncomp == lap.shape[0]:
+    n = lap.shape[0]
+    if ncomp == n:
         raise AllZeroError("all Laplacian eigenvalues are structurally zero")
-    deg = lap.diagonal()
-    scale = 2.0 * deg.reshape(m, n).max(axis=1)
-    if n <= DENSE_LIMIT and m == 1:
+    scale = 2.0 * float(lap.diagonal().max())
+    if n <= DENSE_LIMIT:
         _check_symmetric(lap)  # a tenth of the cost of the dense check
         a = lap.toarray() if sp.issparse(lap) else np.array(lap)
         try:  # overwrites its own copy
             gap = sla.eigvalsh(a, subset_by_index=[ncomp, ncomp], driver="evr",
                                overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
-            return [ConvergenceError(str(exc))]
-        return [(float(gap[0]), float(scale[0]))]
+            raise ConvergenceError(str(exc)) from exc
+        return float(gap[0]), scale
     sizes = np.bincount(labels)
     if sizes.min() == 1:  # isolated nodes add only exact zeros
         keep = sizes[labels] > 1
         return _laplacian_gap(lap[keep][:, keep])
-    gaps = _lobpcg(lap, m, labels, sizes, LOBPCG_TOL * scale,
-                   math.ceil(LOBPCG_ITERS_PER_NODE * n))
-    return [gap if isinstance(gap, ConvergenceError) else (gap, float(s))
-            for gap, s in zip(gaps, scale)]
+    (gap,) = _lobpcg(lap, 1, labels, sizes)
+    if isinstance(gap, ConvergenceError):
+        raise gap
+    return gap, scale
 
 
 def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
-            sizes: np.ndarray, tol: np.ndarray,
-            maxiter: int) -> list[float | ConvergenceError]:
+            sizes: np.ndarray) -> list[float | ConvergenceError]:
     """Smallest Ritz value off the component indicators in each of the
     ``m`` diagonal blocks of ``lap``, all of one order.
 
@@ -277,15 +276,17 @@ def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
     Gram matrix is not positive definite, P is left out for the step; where
     that of X and W is not, the block fails with ``ConvergenceError``.  A
     block stops when its smallest pair's residual norm, also against a
-    fresh product, is at most its ``tol``, and fails after ``maxiter``
-    iterations.  All of this is per block, and the sparse products are row
-    by row, so a block gets the bits it gets alone; it leaves the stack
-    once it stops.
+    fresh product, is at most ``LOBPCG_TOL`` times twice its largest
+    degree, and fails after ``LOBPCG_ITERS_PER_NODE * n`` iterations.  All
+    of this is per block, and the sparse products are row by row, so a
+    block gets the bits it gets alone; it leaves the stack once it stops.
     """
     n = lap.shape[0] // m
     live, res = np.arange(m), np.full(m, np.inf)  # the stacked blocks
     whole, every, out = lap, labels, [None] * m
     deg = lap.diagonal().reshape(m, n)
+    tol = LOBPCG_TOL * (2.0 * deg.max(axis=1))
+    maxiter = math.ceil(LOBPCG_ITERS_PER_NODE * n)
     # rows 0-1 X (Ritz vectors), 2-3 W (preconditioned residuals), 4-5 P
     # (last steps) of every block in ``s``; their Laplacian products in ``ls``
     both = np.zeros((2, 6, m, n))
@@ -451,7 +452,7 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
 
     h = spec.hessian_diag
     if not h.any():
-        return _only(_laplacian_gap(lap))[0]
+        return _laplacian_gap(lap)[0]
 
     n = lap.shape[0]
     if 2 * n > DEFAULT_SIZE_CAP:
@@ -512,13 +513,9 @@ def spectral_report(g: Graph, alpha: float,
     """:func:`lambda2_laplacian` and :func:`convergence_rate` of one graph,
     with one Laplacian gap solve: without curvatures the rate is that gap."""
     lap = laplacian_sparse(g)
-    comps = connected_components(lap, directed=False)
-    gap = (_only(_laplacian_gap(lap, comps)) if g.n > 1 and comps[0] == 1
-           else None)
-    h = (np.zeros(g.n) if hessian_diag is None
-         else np.asarray(hessian_diag, dtype=np.float64))
+    lam2, gap = _lambda2(lap)
+    h = np.zeros(g.n) if hessian_diag is None else hessian_diag
     spec = JacobianSpec(laplacian=lap, alpha=alpha, hessian_diag=h)
-    rate = (convergence_rate(spec) if spec.hessian_diag.any()
-            else (gap or _only(_laplacian_gap(lap, comps)))[0])
-    return SpectralReport(lambda2_laplacian=_clamped(*gap) if gap else 0.0,
-                          rate=rate, alpha=alpha, n=g.n)
+    rate = (gap if gap is not None and not spec.hessian_diag.any()
+            else convergence_rate(spec))
+    return SpectralReport(lambda2_laplacian=lam2, rate=rate, alpha=alpha, n=g.n)

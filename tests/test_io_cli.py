@@ -32,7 +32,7 @@ from clustopt.graph_io import (
 from clustopt.graphs import build_graph, global_clustering
 from clustopt.montecarlo import ScatterRow
 from clustopt.costs import sample_quartic
-from clustopt.spectral import DENSE_LIMIT, STACK_DENSE_LIMIT
+from clustopt.spectral import LOBPCG_MIN_ORDER
 from helpers import complete_graph
 
 
@@ -346,6 +346,13 @@ class TestCli:
         (("topologies", 0, "label"), "a/b"),
         (("topologies", 0, "label"), "../escaped"),
         (("sim",), [1]),
+        # a real that is not a finite float
+        pytest.param(("sim", "alpha"), 10 ** 400, id="path26-10**400"),
+        (("sim", "alpha"), float("inf")),
+        (("sim", "alpha"), float("nan")),
+        (("sim", "h"), float("inf")),
+        (("sim", "x_init_range"), [-float("inf"), float("inf")]),
+        (("weight_range",), [0.5, float("inf")]),
     ])
     def test_mc_malformed_config_exits_1(self, tmp_path, capsys, path, value):
         config = {
@@ -381,7 +388,33 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: io-error:")
 
 
-def _summary_digests_on_1_and_2_blas_threads(tmp_path, cfg):
+@pytest.mark.parametrize("n, trials, base_seed", [
+    (500, 3, 3),
+    (300, 6, 3),
+    (60, 20, 3),
+    (150, 20, 1),
+    (300, 1, 1),  # one trial per label
+])
+def test_mc_summary_bytes_do_not_depend_on_blas_threads(tmp_path, n, trials,
+                                                        base_seed):
+    """From LOBPCG_MIN_ORDER up every campaign lambda2 is a stacked LOBPCG
+    solve, whose bits do not depend on the OpenBLAS thread count, whatever
+    the order and the number of trials.  Solved by dsyevr per graph, the
+    n = 150 and the one-trial configs gave a mean_lambda2 that differed
+    between 1 and 2 threads."""
+    assert n >= LOBPCG_MIN_ORDER
+    cfg = {
+        "topologies": [
+            {"label": "SF", "model": "ba", "n": n, "links": 6},
+            {"label": "CSF", "model": "hk", "n": n, "links": 6,
+             "triad_links": 1},
+        ],
+        "cost_spec": {"family": "quartic", "m": 20},
+        "sim": {"alpha": 1.0, "steps": 10, "h": None, "record_stride": 5},
+        "trials": trials,
+        "base_seed": base_seed,
+        "weight_range": [0.5, 1.5],
+    }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     src = os.path.dirname(os.path.dirname(clustopt.__file__))
@@ -396,45 +429,4 @@ def _summary_digests_on_1_and_2_blas_threads(tmp_path, cfg):
                        env=env, check=True, capture_output=True)
         digests.append(
             hashlib.sha256((out / "summary.json").read_bytes()).hexdigest())
-    return digests
-
-
-def test_mc_summary_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """Every lambda2 of an order above DENSE_LIMIT is a LOBPCG solve, whose
-    bits do not depend on the OpenBLAS thread count.  The dense dsyevr
-    branch gave this config a different mean_lambda2 on 1 and 2 threads."""
-    assert 500 > DENSE_LIMIT
-    cfg = {
-        "topologies": [
-            {"label": "SF", "model": "ba", "n": 500, "links": 6},
-            {"label": "CSF", "model": "hk", "n": 500, "links": 6,
-             "triad_links": 1},
-        ],
-        "cost_spec": {"family": "quartic", "m": 20},
-        "sim": {"alpha": 1.0, "steps": 10, "h": None, "record_stride": 5},
-        "trials": 3,
-        "base_seed": 3,
-    }
-    digests = _summary_digests_on_1_and_2_blas_threads(tmp_path, cfg)
-    assert digests[0] == digests[1]
-
-
-def test_mc_summary_bytes_do_not_depend_on_blas_threads_at_300(tmp_path):
-    """A label's trials above STACK_DENSE_LIMIT are one stacked LOBPCG
-    solve, also at orders up to DENSE_LIMIT.  Solved by dsyevr, this
-    config's mean_lambda2 differed between 1 and 2 threads."""
-    assert STACK_DENSE_LIMIT < 300 < DENSE_LIMIT
-    cfg = {
-        "topologies": [
-            {"label": "SF", "model": "ba", "n": 300, "links": 6},
-            {"label": "CSF", "model": "hk", "n": 300, "links": 6,
-             "triad_links": 1},
-        ],
-        "cost_spec": {"family": "quartic", "m": 20},
-        "sim": {"alpha": 1.0, "steps": 10, "h": None, "record_stride": 5},
-        "trials": 6,
-        "base_seed": 3,
-        "weight_range": [0.5, 1.5],
-    }
-    digests = _summary_digests_on_1_and_2_blas_threads(tmp_path, cfg)
     assert digests[0] == digests[1]

@@ -26,6 +26,7 @@ from clustopt.graphs import (
 )
 from clustopt.spectral import (
     DENSE_LIMIT,
+    LOBPCG_MIN_ORDER,
     RATE_DENSE_LIMIT,
     JacobianSpec,
     build_jacobian,
@@ -268,6 +269,43 @@ class TestStackedLambda2:
         assert "lost rank" in str(got[1])
         assert isinstance(got[2], ConvergenceError)
         assert "after 400 iterations" in str(got[2])
+
+
+@pytest.mark.filterwarnings("error")  # no solver warning may escape
+class TestLobpcgFloor:
+    """``lambda2_blocks`` solves graphs by one stacked LOBPCG run from
+    LOBPCG_MIN_ORDER up, for any number of graphs, and each by dsyevr below
+    it, where the block-2 basis loses rank on small graphs."""
+
+    @pytest.mark.parametrize("n", range(2, LOBPCG_MIN_ORDER + 5))
+    def test_small_orders_match_eigvalsh(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        links = max(1, min(4, n // 3))
+        path = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+        graphs = []
+        for i in range(24):  # weighted BA, HK and paths, in turn
+            edges = [generate_ba(BaParams(n, links), rng).edges,
+                     generate_hk(HkParams(n, links, min(1, links - 1)),
+                                 rng).edges, path][i % 3]
+            w = (rng.uniform(0.5, 1.5, len(edges)) if i % 2
+                 else np.exp(rng.uniform(-3.0, 3.0, len(edges))))
+            graphs.append(Graph(n, edges, w))
+        eigvalsh, dense = spectral.sla.eigvalsh, []
+        monkeypatch.setattr(spectral.sla, "eigvalsh",
+                            lambda *a, **k: dense.append(1) or eigvalsh(*a, **k))
+        got = lambda2_blocks(_union(graphs), len(graphs))
+        assert bool(dense) == (n < LOBPCG_MIN_ORDER)
+        for g, lam2 in zip(graphs, got):
+            assert isinstance(lam2, float)
+            vals = np.linalg.eigvalsh(laplacian(g))
+            assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
+
+    def test_one_graph_below_dense_limit_is_lobpcg(self, no_dense):
+        g = weighted_scale_free("hk", 300, np.random.default_rng(34))
+        assert 300 <= DENSE_LIMIT
+        (lam2,) = lambda2_blocks(_union([g]), 1)
+        vals = np.linalg.eigvalsh(laplacian(g))
+        assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
@@ -516,17 +554,19 @@ class TestMatrixFreeRate:
         assert time.process_time() - t0 < 0.5
 
 
+@pytest.fixture
+def no_dense(monkeypatch):
+    def raise_(*args, **kwargs):
+        raise AssertionError("dense Laplacian gap solve")
+
+    monkeypatch.setattr(spectral.sla, "eigvalsh", raise_)
+
+
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
+@pytest.mark.usefixtures("no_dense")
 class TestZeroCurvatureRate:
     """With all curvatures zero the rate is the Laplacian gap; above
     DENSE_LIMIT it comes from LOBPCG, never from a dense solve."""
-
-    @pytest.fixture(autouse=True)
-    def no_dense(self, monkeypatch):
-        def raise_(*args, **kwargs):
-            raise AssertionError("dense solve above DENSE_LIMIT")
-
-        monkeypatch.setattr(spectral.sla, "eigvalsh", raise_)
 
     def test_connected_equals_lambda2(self):
         rng = np.random.default_rng(30)
