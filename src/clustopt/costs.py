@@ -143,6 +143,8 @@ def sample_mlloss(n: int, m: int, rng: np.random.Generator) -> MlLossModel:
 
 def sample_quartic(n: int, rng: np.random.Generator) -> QuarticModel:
     """Sample ``a_i`` uniform on (0, 0.025] and nonzero ``b_i`` on [-10, 10]."""
+    if n < 1:
+        raise InvalidParamsError(f"need n >= 1 nodes, got {n}")
     a = (1.0 - rng.uniform(0.0, 1.0, n)) * 0.025
     b = rng.uniform(-10.0, 10.0, n)
     for _ in range(1000):

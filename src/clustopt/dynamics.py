@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum
 from .errors import DimensionMismatchError, DisconnectedError, DivergenceError, InvalidParamsError
-from .generators import _is_real
+from .generators import _check_int, _is_real
 from .graphs import Graph, is_connected, laplacian_sparse
 
 
@@ -58,8 +58,10 @@ class SimConfig:
             raise InvalidParamsError(f"alpha must be > 0, got {self.alpha}")
         if self.h is not None and not self.h > 0:
             raise InvalidParamsError(f"h must be > 0, got {self.h}")
-        if self.steps < 0 or self.record_stride < 1 or self.gap_tolerance < 0:
-            raise InvalidParamsError("steps >= 0, record_stride >= 1, gap_tolerance >= 0")
+        _check_int("steps", self.steps, 0)
+        _check_int("record_stride", self.record_stride, 1)
+        if self.gap_tolerance < 0:
+            raise InvalidParamsError(f"gap_tolerance must be >= 0, got {self.gap_tolerance}")
         r = self.x_init_range
         if not (len(r) == 2 and all(map(_is_real, r)) and r[0] <= r[1]):
             raise InvalidParamsError(f"bad x_init_range {list(r)}")
@@ -79,7 +81,7 @@ class TrialTrace:
     cost; ``lyapunov`` is half the squared distance of (x, y) from the
     optimal consensus point; ``tracking_residual`` is the drift of the
     conservation law.  ``max_tracking_residual`` and ``max_abs_gradient_sum``
-    are tracked at every step, not just recorded ones.
+    are maxima over every finite step of the run, not just recorded ones.
     """
 
     recorded_steps: np.ndarray
@@ -201,9 +203,10 @@ def run_trials(lap: sp.csr_matrix, models: list[CostModel],
     block, its cost model, initial state and aggregate optimum.  ``cfg.h``
     must be set.  Each Euler step is one :func:`_step` on the whole union,
     and a trial's sums reduce its own contiguous rows, so every trace is
-    bit-identical to the trial run alone.  A trial whose state turns
-    non-finite is flagged diverged, and one whose recorded gap reaches
-    ``gap_tolerance`` stops; either is frozen with that step's state as its
+    bit-identical to the trial run alone; each step's sums go straight into
+    the running trials' maxima.  A trial whose state turns non-finite is
+    flagged diverged, and one whose recorded gap reaches ``gap_tolerance``
+    stops; either is frozen, maxima too, with that step's state as its
     final state.  Its rows stay in the stack, which never changes: a row
     product and a row sum read no other trial's rows.
     """
@@ -224,23 +227,10 @@ def run_trials(lap: sp.csr_matrix, models: list[CostModel],
     rec = np.empty((count, 4, len(grid)))  # gap, lyapunov, consensus, tracking
     gsum = np.add.reduce(gx.reshape(count, n), axis=1)
     maxima = np.abs([np.add.reduce(y.reshape(count, n), axis=1) - gsum, gsum])
-    # each step's sums of y and of grad f, taken into the maxima at every
-    # record and whenever the buffer is full; it has at most n rows
-    sums = np.empty((2, min(cfg.record_stride, cfg.steps, n), count))
-    r = pending = 0  # records taken, steps not yet in the maxima
-    running, m = np.ones(count, dtype=bool), count  # m: running trials
-    # per trial once it stops: records, diverged, both maxima, final (x, y)
+    r, running, m = 0, np.ones(count, dtype=bool), count  # r: records, m: running
+    # per trial once it stops: records, diverged, final (x, y)
     taken, diverged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
-    last, final = np.empty((2, count)), np.empty((count, 2, n))
-
-    def fold() -> np.ndarray:
-        """Take the pending steps into the maxima; the last step's residual."""
-        nonlocal pending
-        ys, gs = sums[:, :pending]
-        current = np.abs([ys - gs, gs])
-        np.fmax(maxima, np.fmax.reduce(current, axis=1), out=maxima)
-        pending = 0
-        return current[0, -1]
+    final = np.empty((count, 2, n))
 
     def record(resid: np.ndarray) -> None:
         nonlocal r
@@ -261,9 +251,7 @@ def run_trials(lap: sp.csr_matrix, models: list[CostModel],
         nonlocal m
         mask = mask & running
         if mask.any():
-            if pending:
-                fold()
-            taken[mask], diverged[mask], last[:, mask] = r, failed, maxima[:, mask]
+            taken[mask], diverged[mask] = r, failed
             final[mask] = np.stack((x.reshape(count, n)[mask],
                                     y.reshape(count, n)[mask]), 1)
             running[mask], m = False, m - int(mask.sum())
@@ -278,17 +266,15 @@ def run_trials(lap: sp.csr_matrix, models: list[CostModel],
             if not finite:
                 stop(~(np.isfinite(x.reshape(count, n)).all(axis=1)
                        & np.isfinite(y.reshape(count, n)).all(axis=1)), True)
-            np.add.reduce(y.reshape(count, n), axis=1, out=sums[0, pending])
-            np.add.reduce(gx.reshape(count, n), axis=1, out=sums[1, pending])
-            pending += 1
+            gsum = np.add.reduce(gx.reshape(count, n), axis=1)
+            sums = np.abs([np.add.reduce(y.reshape(count, n), axis=1) - gsum, gsum])
+            np.fmax(maxima, sums, out=maxima, where=running)
             if k == grid[r]:
-                record(fold())
-            elif pending == sums.shape[1]:
-                fold()
+                record(sums[0])
         stop(running, False)
     return [TrialTrace(np.array(grid[:c], dtype=np.int64), *rec[t, :, :c].copy(),
                        diverged=bool(diverged[t]), h=cfg.h,
-                       max_tracking_residual=float(last[0, t]),
-                       max_abs_gradient_sum=float(last[1, t]),
+                       max_tracking_residual=float(maxima[0, t]),
+                       max_abs_gradient_sum=float(maxima[1, t]),
                        final_state=NodeState(*final[t].copy()))
             for t, c in enumerate(taken)]

@@ -79,6 +79,14 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_int(name: str, v, low: int | None = None) -> None:
+    """Raise :class:`InvalidParamsError` naming ``name`` unless ``v`` is an
+    integer, and at least ``low`` if that is given."""
+    if not (_is_int(v) and (low is None or v >= low)):
+        least = "" if low is None else f" >= {low}"
+        raise InvalidParamsError(f"{name} must be an integer{least}, got {v!r}")
+
+
 def _is_real(v) -> bool:
     """True for finite reals, False for bools (a bool is a numbers.Real)."""
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -153,14 +161,8 @@ class RewireParams:
         if not (0.0 < self.target_clustering <= 1.0):
             raise InvalidParamsError(
                 f"target_clustering must be in (0, 1], got {self.target_clustering}")
-        if not (_is_int(self.max_swaps) and self.max_swaps >= 0):
-            raise InvalidParamsError(
-                f"max_swaps must be an integer >= 0, got {self.max_swaps!r}")
-        if not (_is_int(self.connectivity_check_interval)
-                and self.connectivity_check_interval >= 1):
-            raise InvalidParamsError(
-                f"connectivity_check_interval must be an integer >= 1, got "
-                f"{self.connectivity_check_interval!r}")
+        _check_int("max_swaps", self.max_swaps, 0)
+        _check_int("connectivity_check_interval", self.connectivity_check_interval, 1)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from .costs import CostModel, OptimumCertificate, aggregate_optimum, \
 from .dynamics import NodeState, SimConfig, TrialTrace, initialize, run_trials, \
     stability_max_step
 from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
-from .generators import BaParams, HkParams, _is_int, _is_real, generate_ba, generate_hk
+from .generators import BaParams, HkParams, _check_int, _is_int, _is_real, \
+    generate_ba, generate_hk
 from .graph_io import read_graph, to_plain as config_to_dict
 from .graphs import Graph, assign_random_weights, global_clustering, is_connected, \
     union_laplacian
@@ -99,8 +100,7 @@ class CostSpec:
         if self.family not in ("mlloss", "quartic"):
             raise InvalidParamsError(
                 f"cost_spec.family must be mlloss or quartic, got {self.family!r}")
-        if self.m < 1:
-            raise InvalidParamsError(f"cost_spec.m must be >= 1, got {self.m}")
+        _check_int("cost_spec.m", self.m, 1)
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class McConfig:
     def validate(self) -> None:
         if not self.topologies:
             raise InvalidParamsError("topologies must list at least one topology")
-        if self.trials < 1:
-            raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
+        _check_int("trials", self.trials, 1)
+        _check_int("base_seed", self.base_seed)
         w = self.weight_range
         if not (len(w) == 2 and all(map(_is_real, w)) and 0 < w[0] <= w[1]):
             raise InvalidParamsError(

@@ -313,7 +313,9 @@ class TestRunTrials:
                                                  initial_state=s))
 
     @pytest.mark.parametrize("family", ["quartic", "mlloss"])
-    @pytest.mark.parametrize("stride", [10, 130])  # below and above n
+    # below and above n, and beyond steps: then only steps 0 and 500 are
+    # recorded, and every maximum comes from a step that is not
+    @pytest.mark.parametrize("stride", [10, 130, 1000])
     def test_run_matches_reference(self, family, stride):
         rng = np.random.default_rng(5)
         g = weighted_scale_free("hk", 80, rng)

@@ -378,6 +378,37 @@ class TestCli:
         assert last in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--in", "{g}", "--cost", "quartic", "--alpha", "1.0",
+         "--steps", "5", "--out", "{d}/trace.csv"],
+        ["scatter", "--inputs", "{g}", "--alpha", "1.0", "--out", "{d}/s.csv"],
+        ["spectral", "--in", "{g}", "--alpha", "1.0", "--cost", "quartic"],
+        ["mc", "--config", "{d}/per_trial.json", "--out", "{d}/out"],
+        ["mc", "--config", "{d}/once.json", "--out", "{d}/out"],
+    ], ids=["optimize", "scatter", "spectral", "mc-per_trial", "mc-once"])
+    def test_empty_graph_exits_1(self, tmp_path, command):
+        """A graph with no nodes gets no cost model: one error line from
+        the command line, not a numpy traceback."""
+        g = tmp_path / "empty.json"
+        g.write_text('{"version": 1, "n": 0, "edges": []}')
+        for resample in ("per_trial", "once"):
+            (tmp_path / f"{resample}.json").write_text(json.dumps({
+                "topologies": [{"label": "real", "model": "file",
+                                "path": str(g)}],
+                "sim": {"alpha": 1.0, "steps": 10},
+                "trials": 1, "base_seed": 3, "resample_cost": resample}))
+        src = os.path.dirname(os.path.dirname(clustopt.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustopt.cli",
+             *(arg.format(g=g, d=tmp_path) for arg in command)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_usage_errors_exit_2(self, capsys):
         assert main(["generate", "--model", "ba"]) == 2
         assert main(["nonsense"]) == 2

@@ -7,7 +7,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from clustopt.dynamics import SimConfig, run_trials
+from clustopt.costs import sample_quartic
+from clustopt.dynamics import SimConfig, run, run_trials
 from clustopt.errors import ClustoptError, GraphParseError, IndexOutOfRangeError, \
     InvalidParamsError
 from clustopt.graph_io import format_summary_json
@@ -135,6 +136,30 @@ class TestConfigReader:
             replace(small_config(), weight_range=(True, 2)).validate()
         with pytest.raises(InvalidParamsError, match="x_init_range"):
             SimConfig(alpha=1.0, steps=1, x_init_range=(False, True)).validate()
+
+    @pytest.mark.parametrize("via", ["run", "run_mc"])
+    @pytest.mark.parametrize("name, value", [("steps", 5.5),
+                                             ("record_stride", 1.5)])
+    def test_non_integer_sim_field_rejected_in_python_configs(self, via, name,
+                                                               value):
+        sim = replace(SimConfig(alpha=1.0, steps=5), **{name: value})
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidParamsError, match=name):
+            if via == "run":
+                run(complete_graph(4), sample_quartic(4, rng), sim, rng)
+            else:
+                run_mc(replace(small_config(trials=1), sim=sim))
+
+    @pytest.mark.parametrize("name, change", [
+        ("cost_spec.m", {"cost_spec": CostSpec("mlloss", 2.5)}),
+        ("cost_spec.m", {"cost_spec": CostSpec("mlloss", True)}),
+        ("trials", {"trials": 2.5}),
+        ("base_seed", {"base_seed": 1.5}),
+    ])
+    def test_non_integer_campaign_field_rejected_in_python_configs(self, name,
+                                                                    change):
+        with pytest.raises(InvalidParamsError, match=name):
+            run_mc(replace(small_config(trials=1), **change))
 
 
 class TestRunMc:
