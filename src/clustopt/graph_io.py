@@ -32,10 +32,12 @@ from .errors import (
     DuplicateEdgeError,
     EmptyGraphError,
     GraphParseError,
+    IndexOutOfRangeError,
     MalformedLineError,
     VersionMismatchError,
 )
-from .graphs import Graph
+from .generators import _is_int, _is_real
+from .graphs import Graph, laplacian_sparse
 
 GRAPH_FORMAT_VERSION = 1
 
@@ -54,6 +56,8 @@ def dumps_graph(g: Graph) -> str:
 
 
 def loads_graph(text: str) -> Graph:
+    """The graph of a document as written: ``n`` and each row's ``i`` and
+    ``j`` integers and ``w`` a finite number, or :class:`GraphParseError`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -63,16 +67,18 @@ def loads_graph(text: str) -> Graph:
     if doc["version"] != GRAPH_FORMAT_VERSION:
         raise VersionMismatchError(
             f"unsupported graph document version {doc['version']!r}")
-    try:
-        n = int(doc["n"])
-        rows = doc["edges"]
-        edges = np.array([[r[0], r[1]] for r in rows], dtype=np.int64) \
-            if rows else np.empty((0, 2), dtype=np.int64)
-        weights = np.array([r[2] for r in rows], dtype=np.float64) \
-            if rows else np.empty(0)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise GraphParseError(f"malformed graph document: {exc}") from exc
-    return Graph(n, edges, weights)
+    n, rows = doc.get("n"), doc.get("edges")
+    if not (_is_int(n) and isinstance(rows, list)):
+        raise GraphParseError(f"need an integer n and a list of edges, got n={n!r}")
+    for k, r in enumerate(rows):
+        if not (isinstance(r, list) and len(r) == 3 and _is_int(r[0])
+                and _is_int(r[1]) and _is_real(r[2])):
+            raise GraphParseError(f"edge row {k} is not [i, j, w] with integer "
+                                  f"i, j and a finite weight w: {r!r}")
+    try:  # an endpoint beyond int64
+        return Graph(n, [r[:2] for r in rows], [r[2] for r in rows])
+    except OverflowError as exc:
+        raise IndexOutOfRangeError(f"edge endpoint outside [0, {n})") from exc
 
 
 def write_graph(g: Graph, path: str) -> None:
@@ -105,8 +111,7 @@ def parse_edge_list(text: str, opts: IngestOptions = IngestOptions()) -> Graph:
     Duplicate pairs collapse to their first occurrence when merging is on.
     """
     ids: dict[int, int] = {}
-    edge_order: list[tuple[int, int]] = []
-    edge_weight: dict[tuple[int, int], float] = {}
+    edge_weight: dict[tuple[int, int], float] = {}  # in order of first appearance
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -141,15 +146,11 @@ def parse_edge_list(text: str, opts: IngestOptions = IngestOptions()) -> Graph:
                     f"line {lineno}: duplicate edge {u} {v}")
             continue
         edge_weight[key] = w
-        edge_order.append(key)
 
     if not ids:
         raise EmptyGraphError("no nodes found in edge list")
 
-    n = len(ids)
-    edges = np.array(edge_order, dtype=np.int64)
-    weights = np.array([edge_weight[k] for k in edge_order])
-    g = Graph(n, edges, weights)
+    g = Graph(len(ids), list(edge_weight), list(edge_weight.values()))
     if opts.largest_component_only:
         g = largest_component(g)
     return g
@@ -162,7 +163,7 @@ def largest_component(g: Graph) -> Graph:
     """
     if g.n == 0:
         raise EmptyGraphError("graph has no nodes")
-    _, labels = connected_components(g.adjacency(), directed=False)
+    _, labels = connected_components(laplacian_sparse(g), directed=False)
     keep = labels == labels[np.argmax(np.bincount(labels)[labels])]
     relabel = np.cumsum(keep) - 1
     mask = keep[g.edges[:, 0]]

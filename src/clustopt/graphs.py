@@ -12,9 +12,9 @@ and the global coefficient is the plain average of the local values over all
 nodes.  Nodes of degree < 2 contribute a local value of 0 so the average is
 always defined.
 
-Adjacency, connectivity and triangle counts all come from one cached scipy
-CSR adjacency and ``scipy.sparse`` products; no graph search is written out
-here.
+A graph keeps one sparse matrix, its cached CSR Laplacian: neighbours,
+weighted degrees and connectivity are read off it, and triangle counts come
+from ``scipy.sparse`` products; no graph search is written out here.
 
 Graphs of one order n solved or integrated as one stack sit on their
 disjoint union, graph j on nodes ``j * n`` to ``j * n + n - 1``: the
@@ -71,7 +71,7 @@ class Graph:
     weights are rejected.
     """
 
-    __slots__ = ("n", "edges", "weights", "_adjacency", "_laplacian_csr")
+    __slots__ = ("n", "edges", "weights", "_laplacian_csr")
 
     def __init__(self, n: int, edges: np.ndarray, weights: np.ndarray):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -107,7 +107,6 @@ class Graph:
         self.weights = weights
         self.edges.setflags(write=False)
         self.weights.setflags(write=False)
-        self._adjacency = None
         self._laplacian_csr = None
 
     # -- basic accessors ---------------------------------------------------
@@ -116,38 +115,24 @@ class Graph:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    def adjacency(self) -> sp.csr_array:
-        """Unit-weight CSR adjacency with sorted rows (cached)."""
-        if self._adjacency is None:
-            e = self.edges
-            # lower neighbors precede higher ones in each row, already sorted
-            rows = np.concatenate((e[:, 1], e[:, 0]))
-            cols = np.concatenate((e[:, 0], e[:, 1]))
-            self._adjacency = sp.csr_array(
-                (np.ones(rows.shape[0]), (rows, cols)), shape=(self.n, self.n))
-        return self._adjacency
-
     def neighbors(self, i: int) -> np.ndarray:
-        """Sorted array of nodes adjacent to ``i``."""
+        """Sorted nodes adjacent to ``i``: Laplacian row ``i`` off the diagonal."""
         if not 0 <= i < self.n:
             raise IndexOutOfRangeError(f"node {i} outside [0, {self.n})")
-        a = self.adjacency()
-        return a.indices[a.indptr[i]:a.indptr[i + 1]]
+        lap = laplacian_sparse(self)
+        row = lap.indices[lap.indptr[i]:lap.indptr[i + 1]]
+        return row[row != i]
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.adjacency().indptr)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def weighted_degrees(self) -> np.ndarray:
-        wd = np.zeros(self.n)
-        np.add.at(wd, self.edges[:, 0], self.weights)
-        np.add.at(wd, self.edges[:, 1], self.weights)
-        return wd
+        return laplacian_sparse(self).diagonal()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.n == other.n
-                and self.edges.shape == other.edges.shape
                 and np.array_equal(self.edges, other.edges)
                 and np.array_equal(self.weights, other.weights))
 
@@ -167,12 +152,8 @@ def build_graph(edge_list: Iterable[tuple[int, int, float]],
     raise the corresponding error.
     """
     rows = list(edge_list)
-    if rows:
-        edges = np.array([(i, j) for i, j, _ in rows], dtype=np.int64)
-        weights = np.array([w for _, _, w in rows], dtype=np.float64)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-        weights = np.empty(0, dtype=np.float64)
+    edges = np.array([(i, j) for i, j, _ in rows], dtype=np.int64)
+    weights = np.array([w for _, _, w in rows], dtype=np.float64)
     if n is None:
         n = int(edges.max()) + 1 if edges.size else 0
     return Graph(n, edges, weights)
@@ -190,25 +171,32 @@ def laplacian(g: Graph) -> np.ndarray:
 def laplacian_sparse(g: Graph) -> sp.csr_matrix:
     """CSR weighted Laplacian (cached on the graph)."""
     if g._laplacian_csr is None:
-        e, w = g.edges, g.weights
-        rows = np.concatenate((e[:, 0], e[:, 1], np.arange(g.n)))
-        cols = np.concatenate((e[:, 1], e[:, 0], np.arange(g.n)))
-        data = np.concatenate((-w, -w, g.weighted_degrees()))
-        g._laplacian_csr = sp.coo_matrix(
-            (data, (rows, cols)), shape=(g.n, g.n)).tocsr()
+        g._laplacian_csr = _laplacian(g.n, g.edges, g.weights)
     return g._laplacian_csr
+
+
+def _laplacian(n: int, edges: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
+    """CSR weighted Laplacian of canonical ``(n, edges, weights)``: each
+    degree sums its weights in edge order, as lower then as higher end, and
+    each row arrives sorted (lower neighbours, diagonal, higher) for scipy."""
+    lo, hi, diag = edges[:, 0], edges[:, 1], np.arange(n)
+    deg = np.bincount(np.concatenate((lo, hi)), np.concatenate((weights, weights)), n)
+    data = np.concatenate((-weights, deg, -weights))
+    rows, cols = np.concatenate((hi, diag, lo)), np.concatenate((lo, diag, hi))
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def union_laplacian(n: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> sp.csr_matrix:
     """CSR Laplacian of the disjoint union of order-n graphs, each given as
-    its ``(edges, weights)``: graph j on nodes ``j * n`` to ``j * n + n - 1``,
-    rows as :func:`laplacian_sparse` has them.  Filled one graph at a time,
-    so no more than one graph's own Laplacian lives beside it."""
+    the canonical ``(edges, weights)`` of a :class:`Graph`, not checked again:
+    graph j on nodes ``j * n`` to ``j * n + n - 1``, rows as
+    :func:`laplacian_sparse` has them.  Filled one graph at a time, so no
+    more than one graph's own Laplacian lives beside it."""
     m, nnz = len(parts), sum(2 * len(e) + n for e, _ in parts)
     data, indices = np.empty(nnz), np.empty(nnz, dtype=np.int32)
     indptr, at = np.empty(m * n + 1, dtype=np.int64), 0
     for j, (e, w) in enumerate(parts):
-        lap = laplacian_sparse(Graph(n, e, w))
+        lap = _laplacian(n, e, w)
         data[at:at + lap.nnz] = lap.data
         indices[at:at + lap.nnz] = lap.indices + j * n
         indptr[j * n:(j + 1) * n] = lap.indptr[:-1] + at
@@ -232,7 +220,7 @@ def laplacian_blocks(lap: sp.csr_matrix, n: int, keep: np.ndarray) -> sp.csr_mat
 
 def is_connected(g: Graph) -> bool:
     """True when the graph has at most one connected component."""
-    return connected_components(g.adjacency(), directed=False,
+    return connected_components(laplacian_sparse(g), directed=False,
                                 return_labels=False) <= 1
 
 
@@ -258,8 +246,7 @@ def unit_weights(g: Graph) -> Graph:
 def degree_stats(g: Graph) -> DegreeStats:
     deg = g.degrees()
     avg = 2.0 * g.edge_count / g.n if g.n else 0.0
-    return DegreeStats(degrees=deg, average=avg,
-                       max=int(deg.max()) if g.n else 0)
+    return DegreeStats(degrees=deg, average=avg, max=int(deg.max(initial=0)))
 
 
 def local_clustering(g: Graph, i: int) -> float:

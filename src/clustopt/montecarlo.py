@@ -35,7 +35,8 @@ from .costs import CostModel, OptimumCertificate, aggregate_optimum, \
     optimum_curvatures, sample_cost
 from .dynamics import NodeState, SimConfig, TrialTrace, initialize, run_trials, \
     stability_max_step
-from .errors import ClustoptError, GraphParseError, IndexOutOfRangeError, InvalidParamsError
+from .errors import ClustoptError, DivergenceError, GraphParseError, IndexOutOfRangeError, \
+    InvalidParamsError
 from .generators import BaParams, HkParams, _check_int, _is_int, _is_real, \
     generate_ba, generate_hk
 from .graph_io import read_graph, to_plain as config_to_dict
@@ -341,9 +342,14 @@ def _label_rank(cfg: McConfig, label: str) -> int:
     return sorted(t.label for t in cfg.topologies).index(label)
 
 
-def _all_failed(cfg: McConfig, topo: TopologySpec) -> ClustoptError:
-    return ClustoptError(
-        f"all {cfg.trials} trials of label {topo.label!r} failed")
+def _all_failed(cfg: McConfig, topo: TopologySpec, causes: list) -> ClustoptError:
+    """A label none of whose trials succeeded fails with the class (by its
+    code) and message of its first ``(trial, code, message)`` cause."""
+    ti, code, msg = min(causes)
+    cls = next((c for c in ClustoptError.__subclasses__() if c.code == code),
+               ClustoptError)
+    return cls(f"all {cfg.trials} trials of label {topo.label!r} failed: "
+               f"trial {ti}: {msg}")
 
 
 def _union(trials: list[_Trial]):
@@ -388,7 +394,7 @@ def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
                 trials.append(t._replace(metrics=(*t.metrics, lam2)))
         errors.sort(key=lambda e: e[0])
     if not trials:
-        raise _all_failed(cfg, topo)
+        raise _all_failed(cfg, topo, errors)
     return trials, errors, bound
 
 
@@ -438,8 +444,9 @@ def run_mc(cfg: McConfig, keep_trial_gaps: bool = False) -> McSummary:
                 continue
             traces.append(trace)
             kept_metrics.append(t.metrics)
-        if not traces:
-            raise _all_failed(cfg, topo)
+        if not traces:  # every built trial diverged
+            raise _all_failed(cfg, topo, [*errors, (
+                trials[0].index, DivergenceError.code, f"diverged at h={h:g}")])
         clusterings, avg_degrees, lambda2s = zip(*kept_metrics)
         gap_matrix = np.vstack([t.gap for t in traces])
         final = gap_matrix[:, -1]

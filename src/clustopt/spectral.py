@@ -354,9 +354,10 @@ def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
 def _ritz(q: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """Rayleigh-Ritz of each block in its first ``k`` basis rows scaled to
     unit rows: the two smallest Ritz values, their coefficients, and whether
-    the block's Gram matrix is positive definite."""
+    the block's Gram matrix is positive definite.  A zero basis row (Gram
+    diagonal 0) stays zero, not NaN, so its block alone fails Cholesky."""
     q = q[:, :k]
-    d = 1.0 / np.sqrt(q.diagonal(0, 1, 2))
+    d = 1.0 / np.sqrt(np.maximum(q.diagonal(0, 1, 2), 1e-300))
     cols, rows = d[:, None], d[..., None]
     c, ok = _cholesky(q[..., :k] * cols * rows)
     ci = np.linalg.inv(c)

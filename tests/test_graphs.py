@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,45 @@ class TestBuildGraph:
         assert g.neighbors(0).tolist() == [1, 2, 3]
 
 
+def accessor_graphs():
+    """No nodes, one node, isolated nodes, and weighted random graphs."""
+    rng = np.random.default_rng(81)
+    return [
+        build_graph([], n=0),
+        build_graph([], n=1),
+        build_graph([(4, 1, 0.5), (1, 6, 2.0), (6, 4, 0.25)], n=9),
+        *(assign_random_weights(random_graph(rng, n, p), rng)
+          for n, p in ((12, 0.0), (20, 0.1), (30, 0.4), (15, 1.0))),
+        assign_random_weights(generate_hk(HkParams(60, 4, 1), rng), rng),
+    ]
+
+
+class TestGraphAccessors:
+    """Neighbours, degrees and weighted degrees, all read off the graph's
+    one cached matrix, against Python sets and the edge-order sum."""
+
+    @pytest.mark.parametrize("g", accessor_graphs(), ids=repr)
+    def test_neighbors_and_degrees_match_sets(self, g):
+        adj = [set() for _ in range(g.n)]
+        for i, j in g.edges.tolist():
+            adj[i].add(j)
+            adj[j].add(i)
+        for i in range(g.n):
+            assert g.neighbors(i).tolist() == sorted(adj[i])
+        assert g.degrees().tolist() == [len(a) for a in adj]
+        with pytest.raises(IndexOutOfRangeError):
+            g.neighbors(g.n)
+
+    @pytest.mark.parametrize("g", accessor_graphs(), ids=repr)
+    def test_weighted_degrees_are_the_edge_order_sum(self, g):
+        wd = np.zeros(g.n)
+        np.add.at(wd, g.edges[:, 0], g.weights)
+        np.add.at(wd, g.edges[:, 1], g.weights)
+        got = g.weighted_degrees()
+        assert got.dtype == wd.dtype and got.tobytes() == wd.tobytes()
+        assert np.array_equal(got, np.diag(laplacian(g)))
+
+
 class TestLaplacian:
     def test_single_edge_unit(self):
         g = build_graph([(0, 1, 1.0)])
@@ -133,11 +174,19 @@ class TestUnionLaplacian:
             generate_hk(HkParams(self.N, 3, 1), rng))]
 
     def test_union_equals_one_graph_on_stacked_edges(self, graphs):
-        for count in (1, 2, len(graphs)):
+        """Also with the int32 edges a campaign trial holds."""
+        for count, dtype in itertools.product((1, 2, len(graphs)),
+                                              (np.int64, np.int32)):
             part = graphs[:count]
             assert_same_csr(union_laplacian(
-                self.N, [(g.edges, g.weights) for g in part]),
+                self.N, [(g.edges.astype(dtype), g.weights) for g in part]),
                 one_graph_union(part))
+
+    def test_one_part_equals_its_laplacian(self, graphs):
+        for g in graphs:
+            assert_same_csr(union_laplacian(
+                self.N, [(g.edges.astype(np.int32), g.weights)]),
+                laplacian_sparse(g))
 
     @pytest.mark.parametrize("keep", [
         [True, False, False, False, False],
@@ -163,6 +212,10 @@ class TestConnectivity:
 
     def test_empty_graph(self):
         assert is_connected(build_graph([], n=0))
+
+    def test_isolated_node(self):
+        assert not is_connected(build_graph([(0, 1, 1), (1, 2, 1)], n=4))
+        assert not is_connected(build_graph([], n=2))
 
 
 class TestRandomWeights:

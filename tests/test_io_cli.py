@@ -408,6 +408,29 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+        if command[0] == "mc":  # one fault, one code, under either setting
+            assert lines[0].startswith("error: invalid-params: ")
+
+    @pytest.mark.parametrize("n, edges, named", [
+        ("3.9", "[[0, 1, 1.0]]", "n=3.9"),
+        ('"3"', "[[0, 1, 1.0]]", "n='3'"),
+        ("true", "[]", "n=True"),
+        ("3", "[[0.7, 1, 1.0]]", "edge row 0"),
+        ("3", "[[0, 1, 1.0], [0, 2.2, 1.0]]", "edge row 1"),
+        ("3", '[[0, 1, "2"]]', "edge row 0"),
+        ("3", "[[0, 1, 1, 5]]", "edge row 0"),
+    ], ids=["n-float", "n-string", "n-bool", "endpoint-0.7", "endpoint-2.2",
+            "weight-string", "four-items"])
+    def test_malformed_graph_document_exits_1(self, tmp_path, capsys, n,
+                                              edges, named):
+        """A graph document is read as written or not at all: no field is
+        truncated or converted, and the error names the field or row."""
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"version": 1, "n": {n}, "edges": {edges}}}')
+        assert main(["metrics", "--in", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: parse-error: ")
+        assert named in lines[0]
 
     def test_usage_errors_exit_2(self, capsys):
         assert main(["generate", "--model", "ba"]) == 2

@@ -9,8 +9,8 @@ import pytest
 
 from clustopt.costs import sample_quartic
 from clustopt.dynamics import SimConfig, run, run_trials
-from clustopt.errors import ClustoptError, GraphParseError, IndexOutOfRangeError, \
-    InvalidParamsError
+from clustopt.errors import ClustoptError, DivergenceError, GraphParseError, \
+    IndexOutOfRangeError, InvalidParamsError
 from clustopt.graph_io import format_summary_json
 from clustopt.graphs import build_graph
 from clustopt.montecarlo import (
@@ -262,6 +262,19 @@ class TestRunMc:
         assert np.isfinite(ls.mean_gap).all()
         assert sum("diverged" in r.message for r in caplog.records) == 4
 
+    def test_label_whose_trials_all_diverge_raises_divergence(self):
+        cfg = McConfig(
+            topologies=(TopologySpec(label="A", model="ba", n=30, links=2),),
+            cost_spec=CostSpec(family="quartic"),
+            sim=SimConfig(alpha=1.0, steps=800, record_stride=200, h=1.0),
+            trials=3,
+            base_seed=99,
+        )
+        with pytest.raises(DivergenceError) as info:
+            run_mc(cfg)
+        assert str(info.value) == (
+            "all 3 trials of label 'A' failed: trial 0: diverged at h=1")
+
     def test_resample_once_shares_model_across_trials(self):
         cfg = small_config(trials=2, labels=("A",))
         cfg_once = McConfig(
@@ -371,7 +384,7 @@ class TestOneGrowthPerTrial:
         """``D`` is disconnected and raised.  Once every metric of ``A``,
         declared before it, fails too, ``A`` is the one raised."""
         from clustopt import montecarlo
-        from clustopt.errors import ConvergenceError
+        from clustopt.errors import ConvergenceError, DisconnectedError
         from clustopt.graph_io import write_graph
 
         def failing_lambda2(lap, m):
@@ -387,14 +400,17 @@ class TestOneGrowthPerTrial:
             trials=2,
             base_seed=1,
         )
-        for failing in ("D", "A"):
+        for failing, error, cause in (
+                ("D", DisconnectedError, "dynamics require a connected graph"),
+                ("A", ConvergenceError, "no lambda2")):
             if failing == "A":
                 monkeypatch.setattr(montecarlo, "lambda2_blocks",
                                     failing_lambda2)
-            with pytest.raises(ClustoptError) as info:
+            with pytest.raises(error) as info:
                 run_mc(cfg)
-            assert info.value.code == "error"
-            assert str(info.value) == f"all 2 trials of label {failing!r} failed"
+            assert info.value.code == error.code
+            assert str(info.value) == (
+                f"all 2 trials of label {failing!r} failed: trial 0: {cause}")
 
     def test_failed_trial_is_ledgered_once_and_left_out_of_h(
             self, monkeypatch):

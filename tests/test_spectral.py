@@ -300,6 +300,25 @@ class TestLobpcgFloor:
             vals = np.linalg.eigvalsh(laplacian(g))
             assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
 
+    def test_zero_basis_row_fails_its_block_below_the_floor(self):
+        """Direct stacks at n = 8, below the floor: a block whose basis
+        holds a zero row fails alone, with no warning and no LinAlgError
+        for the whole stack."""
+        n, links, m = 8, 2, 40
+        path = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            parts = []
+            for i in range(m):  # weighted BA, HK and paths, in turn
+                edges = [generate_ba(BaParams(n, links), rng).edges,
+                         generate_hk(HkParams(n, links, 1), rng).edges,
+                         path][i % 3]
+                parts.append((edges, rng.uniform(0.5, 1.5, len(edges)) if i % 2
+                              else np.exp(rng.uniform(-3.0, 3.0, len(edges)))))
+            got = spectral._lobpcg(union_laplacian(n, parts), m,
+                                   np.arange(m).repeat(n), np.full(m, n))
+            assert all(isinstance(v, (float, ConvergenceError)) for v in got)
+
     def test_one_graph_below_dense_limit_is_lobpcg(self, no_dense):
         g = weighted_scale_free("hk", 300, np.random.default_rng(34))
         assert 300 <= DENSE_LIMIT
