@@ -33,8 +33,7 @@ import scipy.sparse as sp
 
 from .costs import CostModel, OptimumCertificate, aggregate_optimum
 from .errors import DimensionMismatchError, DisconnectedError, DivergenceError, InvalidParamsError
-from .generators import _check_int, _is_real
-from .graphs import Graph, is_connected, laplacian_sparse
+from .graphs import Graph, _check_int, _is_real, is_connected, laplacian_sparse
 
 
 @dataclass(frozen=True)

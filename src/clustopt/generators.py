@@ -54,8 +54,6 @@ common-neighbor matrix would take ``4n²`` bytes, 1.6 GB at the size cap.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,7 +61,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DisconnectedError, InvalidParamsError
-from .graphs import Graph, global_clustering, is_connected
+from .graphs import Graph, _check_int, _is_int, global_clustering, is_connected
 
 _TRIAD_SCAN_LIMIT = 16  # rejection tries before listing eligible neighbors
 # preferential draws rejected in a row before an exact frozen-degree draw
@@ -72,25 +70,6 @@ _WORDS = 256  # raw 32-bit words per generator call in growth
 # swap proposals drawn and scored per numpy pass: 128 beat 64 and 256 at
 # n = 800 and n = 1788, where a 256 block's rows outgrow the cache
 _BLOCK = 128
-
-
-def _is_int(v) -> bool:
-    """True for integers, False for bools (a bool is a numbers.Integral)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _check_int(name: str, v, low: int | None = None) -> None:
-    """Raise :class:`InvalidParamsError` naming ``name`` unless ``v`` is an
-    integer, and at least ``low`` if that is given."""
-    if not (_is_int(v) and (low is None or v >= low)):
-        least = "" if low is None else f" >= {low}"
-        raise InvalidParamsError(f"{name} must be an integer{least}, got {v!r}")
-
-
-def _is_real(v) -> bool:
-    """True for finite reals, False for bools (a bool is a numbers.Real)."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

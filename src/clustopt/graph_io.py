@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .dynamics import SimConfig, TrialTrace
 from .errors import (
@@ -36,10 +36,12 @@ from .errors import (
     MalformedLineError,
     VersionMismatchError,
 )
-from .generators import _is_int, _is_real
-from .graphs import Graph, laplacian_sparse
+from .graphs import Graph, _components, _is_int, _is_real, laplacian_sparse
 
 GRAPH_FORMAT_VERSION = 1
+# an edge-list node id: ASCII decimal digits with an optional sign, where
+# int() would also take digit separators ("1_0") and non-ASCII digits
+_NODE_ID = re.compile(r"[+-]?[0-9]+")
 
 TRACE_HEADER = "step,gap,lyapunov,consensus_residual,tracking_residual"
 SCATTER_HEADER = "name,n,d,C,lambda2,rate"
@@ -56,14 +58,18 @@ def dumps_graph(g: Graph) -> str:
 
 
 def loads_graph(text: str) -> Graph:
-    """The graph of a document as written: ``n`` and each row's ``i`` and
-    ``j`` integers and ``w`` a finite number, or :class:`GraphParseError`."""
+    """The graph of a document as written: the version, ``n`` and each row's
+    ``i`` and ``j`` integers and ``w`` a finite number, or
+    :class:`GraphParseError`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise GraphParseError("graph document must be an object with a version")
+    if not _is_int(doc["version"]):
+        raise GraphParseError("graph document version must be an integer, "
+                              f"got {doc['version']!r}")
     if doc["version"] != GRAPH_FORMAT_VERSION:
         raise VersionMismatchError(
             f"unsupported graph document version {doc['version']!r}")
@@ -120,11 +126,9 @@ def parse_edge_list(text: str, opts: IngestOptions = IngestOptions()) -> Graph:
         parts = line.split()
         if len(parts) < 2 or len(parts) > 4:
             raise MalformedLineError(lineno, raw, "expected 2-4 columns")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
+        if not (_NODE_ID.fullmatch(parts[0]) and _NODE_ID.fullmatch(parts[1])):
             raise MalformedLineError(lineno, raw, "non-integer node id")
+        u, v = int(parts[0]), int(parts[1])
         w = 1.0
         if opts.use_weights and len(parts) >= 3:
             try:
@@ -163,7 +167,7 @@ def largest_component(g: Graph) -> Graph:
     """
     if g.n == 0:
         raise EmptyGraphError("graph has no nodes")
-    _, labels = connected_components(laplacian_sparse(g), directed=False)
+    _, labels = _components(laplacian_sparse(g))
     keep = labels == labels[np.argmax(np.bincount(labels)[labels])]
     relabel = np.cumsum(keep) - 1
     mask = keep[g.edges[:, 0]]

@@ -14,18 +14,24 @@ always defined.
 
 A graph keeps one sparse matrix, its cached CSR Laplacian: neighbours,
 weighted degrees and connectivity are read off it, and triangle counts come
-from ``scipy.sparse`` products; no graph search is written out here.
+from ``scipy.sparse`` products; no graph search is written out here.  The
+components of a Laplacian built here are its strong components
+(:func:`_components`): its pattern is symmetric, so scipy needs no
+transposed copy to find them.
 
 Graphs of one order n solved or integrated as one stack sit on their
 disjoint union, graph j on nodes ``j * n`` to ``j * n + n - 1``: the
 Laplacian of that layout is built (:func:`union_laplacian`) and cut
 (:func:`laplacian_blocks`) here only.  Only the stacked lambda2 solve cuts
-it; an integrated stack keeps every block to the end.
+it, in place, on a union that it builds and owns; an integrated stack keeps
+every block to the end.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,11 +43,31 @@ from .errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
     InsufficientDataError,
+    InvalidParamsError,
     InvalidRangeError,
     NonPositiveWeightError,
     PreconditionError,
     SelfLoopError,
 )
+
+
+def _is_int(v) -> bool:
+    """True for integers, False for bools (a bool is a numbers.Integral)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_int(name: str, v, low: int | None = None) -> None:
+    """Raise :class:`InvalidParamsError` naming ``name`` unless ``v`` is an
+    integer, and at least ``low`` if that is given."""
+    if not (_is_int(v) and (low is None or v >= low)):
+        least = "" if low is None else f" >= {low}"
+        raise InvalidParamsError(f"{name} must be an integer{least}, got {v!r}")
+
+
+def _is_real(v) -> bool:
+    """True for finite reals, False for bools (a bool is a numbers.Real)."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -68,19 +94,21 @@ class Graph:
     Edges are canonicalized on construction: endpoints ordered ``i < j``,
     rows sorted lexicographically, exactly one weight per unordered pair.
     Self-loops, duplicate edges, out-of-range indices and non-positive
-    weights are rejected.
+    weights are rejected, and so is a node count that is not an integer
+    (a bool is not) in ``[0, 2**63)``.
     """
 
     __slots__ = ("n", "edges", "weights", "_laplacian_csr")
 
     def __init__(self, n: int, edges: np.ndarray, weights: np.ndarray):
+        if not (_is_int(n) and 0 <= n < 2 ** 63):
+            raise IndexOutOfRangeError(
+                f"node count must be an integer in [0, 2**63), got {n!r}")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if edges.shape[0] != weights.shape[0]:
             raise InvalidRangeError(
                 f"{edges.shape[0]} edges but {weights.shape[0]} weights")
-        if n < 0:
-            raise IndexOutOfRangeError(f"negative node count {n}")
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise IndexOutOfRangeError(
@@ -208,20 +236,38 @@ def union_laplacian(n: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> sp.cs
 def laplacian_blocks(lap: sp.csr_matrix, n: int, keep: np.ndarray) -> sp.csr_matrix:
     """The diagonal blocks ``keep`` (a mask) of a :func:`union_laplacian` of
     order-n graphs, as the union of those graphs, each row's entries in
-    order."""
-    counts = np.diff(lap.indptr[::n])  # entries per block
-    entries, rows = np.repeat(keep, counts), np.diff(lap.indptr).reshape(-1, n)
-    moved = n * (np.flatnonzero(keep) - np.arange(np.count_nonzero(keep)))
-    indices = lap.indices[entries]
-    indices -= np.repeat(moved.astype(indices.dtype), counts[keep])
-    return sp.csr_matrix((lap.data[entries], indices, np.concatenate(
-        ([0], np.cumsum(rows[keep])))), shape=(n * moved.size,) * 2)
+    order, cut in place: the kept blocks' entries move down inside ``lap``'s
+    own ``data`` and ``indices``, and the result is a view of their prefix
+    with a new ``indptr``.  This consumes ``lap``, which its caller must
+    own and no longer use."""
+    data, indices, ptr = lap.data, lap.indices, lap.indptr
+    kept = np.flatnonzero(keep)
+    indptr, at = np.empty(n * kept.size + 1, dtype=ptr.dtype), 0
+    for j, b in enumerate(kept.tolist()):
+        lo, hi = int(ptr[b * n]), int(ptr[b * n + n])
+        if lo > at:  # a forward copy inside one array: numpy needs no buffer
+            data[at:at + hi - lo] = data[lo:hi]
+            indices[at:at + hi - lo] = indices[lo:hi]
+            indices[at:at + hi - lo] -= (b - j) * n
+        indptr[j * n:j * n + n] = ptr[b * n:b * n + n] - (lo - at)
+        at += hi - lo
+    indptr[-1] = at
+    cut = sp.csr_matrix((n * kept.size,) * 2)
+    # set, not passed: scipy copies a view of under half its base
+    cut.data, cut.indices, cut.indptr = data[:at], indices[:at], indptr
+    return cut
+
+
+def _components(lap: sp.csr_matrix) -> tuple[int, np.ndarray]:
+    """Connected components of a Laplacian this package built: its pattern
+    is symmetric, so they are its strong components, which scipy finds
+    without the transposed copy that ``directed=False`` makes."""
+    return connected_components(lap, connection="strong")
 
 
 def is_connected(g: Graph) -> bool:
     """True when the graph has at most one connected component."""
-    return connected_components(laplacian_sparse(g), directed=False,
-                                return_labels=False) <= 1
+    return _components(laplacian_sparse(g))[0] <= 1
 
 
 def assign_random_weights(g: Graph, rng: np.random.Generator,

@@ -37,11 +37,10 @@ from .dynamics import NodeState, SimConfig, TrialTrace, initialize, run_trials, 
     stability_max_step
 from .errors import ClustoptError, DivergenceError, GraphParseError, IndexOutOfRangeError, \
     InvalidParamsError
-from .generators import BaParams, HkParams, _check_int, _is_int, _is_real, \
-    generate_ba, generate_hk
+from .generators import BaParams, HkParams, generate_ba, generate_hk
 from .graph_io import read_graph, to_plain as config_to_dict
-from .graphs import Graph, assign_random_weights, global_clustering, is_connected, \
-    union_laplacian
+from .graphs import Graph, _check_int, _is_int, _is_real, assign_random_weights, \
+    global_clustering, is_connected, union_laplacian
 from .spectral import lambda2_blocks, spectral_report
 
 logger = logging.getLogger(__name__)
@@ -352,9 +351,15 @@ def _all_failed(cfg: McConfig, topo: TopologySpec, causes: list) -> ClustoptErro
                f"trial {ti}: {msg}")
 
 
+def _parts(trials: list[_Trial]) -> tuple[int, list]:
+    """The order of the trials' graphs and each one's ``(edges, weights)``,
+    in trial order."""
+    return trials[0].model.n, [(t.edges, t.weights) for t in trials]
+
+
 def _union(trials: list[_Trial]):
     """The :func:`union_laplacian` of the trials' graphs, in trial order."""
-    return union_laplacian(trials[0].model.n, [(t.edges, t.weights) for t in trials])
+    return union_laplacian(*_parts(trials))
 
 
 def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
@@ -365,7 +370,8 @@ def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
     A trial's bound is taken once its inputs build, so a later failure of
     its optimum or a metric still counts toward ``h``.  The lambda2 of every
     built trial comes from one :func:`lambda2_blocks` call after the loop,
-    on the Laplacian of their disjoint union.  A :class:`ClustoptError` at
+    handed their edges and weights, from which it builds (and cuts) the
+    Laplacian of their disjoint union.  A :class:`ClustoptError` at
     any step goes to the ledger, in trial order; a label none of whose
     trials builds raises.
     """
@@ -385,7 +391,7 @@ def _build_label(cfg: McConfig, topo: TopologySpec, label_index: int,
         except ClustoptError as exc:
             errors.append((ti, exc.code, str(exc)))
     if trials:
-        solved = zip(trials, lambda2_blocks(_union(trials), len(trials)))
+        solved = zip(trials, lambda2_blocks(*_parts(trials)))
         trials = []
         for t, lam2 in solved:
             if isinstance(lam2, ClustoptError):

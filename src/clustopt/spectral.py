@@ -29,7 +29,8 @@ order and a sparse one above it; the sparse Laplacian gap is this module's
 own block LOBPCG (:func:`_lobpcg`), whose bits do not depend on the BLAS
 thread count.  :func:`lambda2_blocks` solves many graphs of one order by it
 from ``LOBPCG_MIN_ORDER`` up, in one run on their union Laplacian from
-:mod:`clustopt.graphs`, each with the bits it has alone.
+:mod:`clustopt.graphs`, each with the bits it has alone; it builds that
+union itself, so every block that leaves the stack is cut out in place.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .errors import (
     NotSymmetricError,
     SizeLimitError,
 )
-from .graphs import Graph, laplacian_blocks, laplacian_sparse
+from .graphs import Graph, _components, laplacian_blocks, laplacian_sparse, \
+    union_laplacian
 
 # Order up to which the gap of one graph alone uses the dense solver: the
 # speed crossover, not a correctness limit.  Median CPU of one dsyevr
@@ -183,26 +185,29 @@ def lambda2_laplacian(g: Graph) -> float:
 
 def _lambda2(lap: sp.csr_matrix) -> tuple[float, float | None]:
     """Clamped algebraic connectivity of a Laplacian, and its gap if solved."""
-    comps = connected_components(lap, directed=False)
+    comps = _components(lap)
     if lap.shape[0] < 2 or comps[0] > 1:
         return 0.0, None
     gap, scale = _laplacian_gap(lap, comps)
     return _clamped(gap, scale), gap
 
 
-def lambda2_blocks(lap: sp.csr_matrix,
-                   m: int) -> list[float | ConvergenceError]:
-    """The clamped algebraic connectivity of each of ``m`` graphs of one
-    order ``n``, given as their :func:`~clustopt.graphs.union_laplacian`
-    ``lap``: graph b is nodes ``b * n`` to ``b * n + n - 1``.
+def lambda2_blocks(n: int, parts: list[tuple[np.ndarray, np.ndarray]]
+                   ) -> list[float | ConvergenceError]:
+    """The clamped algebraic connectivity of each order-n graph of
+    ``parts``, each the canonical ``(edges, weights)`` of a :class:`Graph`.
 
-    From ``LOBPCG_MIN_ORDER`` up, for any ``m``, the connected graphs are
-    solved in one stacked :func:`_lobpcg` run, and each value has the bits
-    of its graph solved alone; below it each is a LAPACK eigenvalue.  A
-    graph whose solve fails has its ``ConvergenceError`` in its place.
+    The graphs' :func:`~clustopt.graphs.union_laplacian` is built here and
+    owned here only, so every cut of it is in place
+    (:func:`~clustopt.graphs.laplacian_blocks`): the disconnected graphs
+    leave it up front, and :func:`_lobpcg` consumes what is left.  From
+    ``LOBPCG_MIN_ORDER`` up, for any number of graphs, the connected ones
+    are solved in that one stacked run, and each value has the bits of its
+    graph solved alone; below it each is a LAPACK eigenvalue.  A graph whose
+    solve fails has its ``ConvergenceError`` in its place.
     """
-    n = lap.shape[0] // m
-    labels = connected_components(lap, directed=False)[1].reshape(m, n)
+    m, lap = len(parts), union_laplacian(n, parts)
+    labels = _components(lap)[1].reshape(m, n)
     lam2: list = [0.0] * m
     connected = (labels == labels[:, :1]).all(axis=1) & (n > 1)
     blocks = np.flatnonzero(connected)
@@ -280,10 +285,16 @@ def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
     degree, and fails after ``LOBPCG_ITERS_PER_NODE * n`` iterations.  All
     of this is per block, and the sparse products are row by row, so a
     block gets the bits it gets alone; it leaves the stack once it stops.
+
+    A block that leaves a stack of several is cut out of ``lap`` in place
+    (:func:`~clustopt.graphs.laplacian_blocks`), so for ``m > 1`` this
+    consumes ``lap``: its caller must own it and not use it again.  A
+    stack of one returns when its block stops and never cuts, so a graph's
+    cached Laplacian is safe here.
     """
     n = lap.shape[0] // m
     live, res = np.arange(m), np.full(m, np.inf)  # the stacked blocks
-    whole, every, out = lap, labels, [None] * m
+    out = [None] * m
     deg = lap.diagonal().reshape(m, n)
     tol = LOBPCG_TOL * (2.0 * deg.max(axis=1))
     maxiter = math.ceil(LOBPCG_ITERS_PER_NODE * n)
@@ -338,9 +349,7 @@ def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
             live, tol, res, r = live[keep], tol[keep], res[keep], r[:, keep]
             both, deg = both[:, :, :live.size], deg[keep]
             s, ls = both
-            alive = np.isin(np.arange(m), live)
-            lap = None  # one restacked matrix at a time, cut from the whole
-            lap, labels = laplacian_blocks(whole, n, alive), every[alive.repeat(n)]
+            lap, labels = laplacian_blocks(lap, n, keep), labels[keep.repeat(n)]
         s[2:4] = r / deg
         deflate(s[2:4])
         ls[2], ls[3] = product(s[2]), product(s[3])

@@ -95,6 +95,27 @@ def random_connected_graph(rng: np.random.Generator, n: int,
     return Graph(n, e.astype(np.int64), np.ones(e.shape[0]))
 
 
+def copied_blocks(lap: sp.csr_matrix, n: int, keep: np.ndarray) -> sp.csr_matrix:
+    """Oracle for ``graphs.laplacian_blocks``: the diagonal blocks ``keep``
+    of a union Laplacian of order-n graphs, gathered into new arrays by a
+    mask over the entries, with ``lap`` left as it was."""
+    counts = np.diff(lap.indptr[::n])  # entries per block
+    entries, rows = np.repeat(keep, counts), np.diff(lap.indptr).reshape(-1, n)
+    moved = n * (np.flatnonzero(keep) - np.arange(np.count_nonzero(keep)))
+    indices = lap.indices[entries]
+    indices -= np.repeat(moved.astype(indices.dtype), counts[keep])
+    return sp.csr_matrix((lap.data[entries], indices, np.concatenate(
+        ([0], np.cumsum(rows[keep])))), shape=(n * moved.size,) * 2)
+
+
+def partition(labels: np.ndarray) -> np.ndarray:
+    """Component labels renamed to the lowest node of each component, so
+    two labelings of one partition compare equal."""
+    first = np.full(labels.max(initial=-1) + 1, labels.size)
+    np.minimum.at(first, labels, np.arange(labels.size))
+    return first[labels]
+
+
 def brute_force_triangles(g: Graph) -> np.ndarray:
     """Triangles through each node, by enumerating node triples."""
     adj = [set(map(int, g.neighbors(i))) for i in range(g.n)]

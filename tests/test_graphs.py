@@ -1,7 +1,9 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from clustopt.errors import (
     DuplicateEdgeError,
@@ -15,6 +17,7 @@ from clustopt.errors import (
 from clustopt.generators import HkParams, generate_hk
 from clustopt.graphs import (
     Graph,
+    _components,
     assign_random_weights,
     build_graph,
     degree_histogram,
@@ -34,7 +37,10 @@ from helpers import (
     brute_force_clustering,
     brute_force_triangles,
     complete_graph,
+    copied_blocks,
     cycle_graph,
+    partition,
+    random_connected_graph,
     random_graph,
 )
 
@@ -66,6 +72,17 @@ class TestBuildGraph:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             build_graph([(0, 5, 1.0)], n=3)
+
+    @pytest.mark.parametrize("n", [2.9, True, -1, 2 ** 63],
+                             ids=["float", "bool", "negative", "2^63"])
+    def test_node_count_is_an_int64_count(self, n):
+        """Not truncated to 2 or read as 1, and never beyond int64."""
+        with pytest.raises(IndexOutOfRangeError, match="node count"):
+            Graph(n, np.empty((0, 2), dtype=np.int64), np.empty(0))
+
+    def test_numpy_integer_node_count(self):
+        g = Graph(np.int32(3), [(0, 2)], [1.0])
+        assert g.n == 3 and type(g.n) is int
 
     def test_canonical_order(self):
         g = build_graph([(2, 1, 3.0), (1, 0, 2.0)])
@@ -193,11 +210,23 @@ class TestUnionLaplacian:
         [False, False, False, False, True],
         [True, False, True, False, True],
         [True] * 5,
-    ], ids=["first", "last", "alternating", "all"])
+        [False, True, True, True, True],
+        [True, True, True, True, False],
+    ], ids=["first", "last", "alternating", "all", "drop-first", "drop-last"])
     def test_blocks_equal_union_of_kept_graphs(self, graphs, keep):
-        union = union_laplacian(self.N, [(g.edges, g.weights) for g in graphs])
-        assert_same_csr(laplacian_blocks(union, self.N, np.array(keep)),
-                        one_graph_union([g for g, k in zip(graphs, keep) if k]))
+        """The cut moves the kept entries down inside the union's own
+        arrays: the union of the kept graphs, and the same matrix as
+        gathering them into new arrays."""
+        parts = [(g.edges, g.weights) for g in graphs]
+        keep = np.array(keep)
+        copied = copied_blocks(union_laplacian(self.N, parts), self.N, keep)
+        union = union_laplacian(self.N, parts)
+        got = laplacian_blocks(union, self.N, keep)
+        assert_same_csr(got, one_graph_union(
+            [g for g, k in zip(graphs, keep) if k]))
+        assert_same_csr(got, copied)
+        assert np.shares_memory(got.data, union.data)
+        assert np.shares_memory(got.indices, union.indices)
 
 
 class TestConnectivity:
@@ -216,6 +245,42 @@ class TestConnectivity:
     def test_isolated_node(self):
         assert not is_connected(build_graph([(0, 1, 1), (1, 2, 1)], n=4))
         assert not is_connected(build_graph([], n=2))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_strong_components_are_the_connected_components(self, seed):
+        """On the symmetric pattern of a package Laplacian, scipy's strong
+        components (no transposed copy) give the partition that
+        ``directed=False`` and networkx give: on graphs of 1-4 components
+        with isolated nodes, their labels shuffled, and on an equal-order
+        union of such graphs."""
+        rng = np.random.default_rng(seed)
+        n = 40
+        graphs = []
+        for _ in range(3):
+            k = int(rng.integers(1, 5))
+            sizes = rng.multinomial(n - 3, np.ones(k) / k)
+            edges, start = [], 3  # nodes 0-2 are isolated
+            for size in sizes[sizes > 0]:
+                part = random_connected_graph(rng, int(size), 0.2)
+                edges.append(part.edges + start)
+                start += size
+            perm = rng.permutation(n)
+            e = perm[np.vstack(edges)]
+            graphs.append(Graph(n, e, rng.uniform(0.5, 1.5, len(e))))
+        union = union_laplacian(n, [(g.edges, g.weights) for g in graphs])
+        for g, lap in [*((g, laplacian_sparse(g)) for g in graphs),
+                       (None, union)]:
+            ncomp, labels = _components(lap)
+            want_n, want = connected_components(lap, directed=False)
+            assert ncomp == want_n
+            assert np.array_equal(partition(labels), partition(want))
+            ref = nx.from_scipy_sparse_array(lap)
+            nx_labels = np.empty(lap.shape[0], dtype=np.int64)
+            for k, comp in enumerate(nx.connected_components(ref)):
+                nx_labels[list(comp)] = k
+            assert np.array_equal(partition(labels), partition(nx_labels))
+            if g is not None:
+                assert is_connected(g) == (ncomp == 1)
 
 
 class TestRandomWeights:

@@ -432,6 +432,45 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: parse-error: ")
         assert named in lines[0]
 
+    @pytest.mark.parametrize("command", [["metrics"],
+                                         ["spectral", "--alpha", "1.0"]],
+                             ids=["metrics", "spectral"])
+    @pytest.mark.parametrize("n", [10 ** 30, 2 ** 63], ids=["1e30", "2^63"])
+    def test_node_count_beyond_int64_exits_1(self, tmp_path, capsys, command,
+                                             n):
+        """A node count no int64 holds is refused when the graph is built,
+        not met as an overflow at the first degree or Laplacian."""
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"version": 1, "n": {n}, "edges": [[0, 1, 1.0]]}}')
+        assert main([command[0], "--in", str(path), *command[1:]]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: index-out-of-range: ")
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_non_integer_version_exits_1(self, tmp_path, capsys, version):
+        """The version is the JSON integer 1, not a value equal to it."""
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"version": {version}, "n": 2, '
+                        '"edges": [[0, 1, 1.0]]}')
+        assert main(["metrics", "--in", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: parse-error: ")
+
+    @pytest.mark.parametrize("line", ["1_0 2", "١ 2"],
+                             ids=["separator", "arabic-indic"])
+    def test_non_decimal_node_id_exits_1(self, tmp_path, capsys, line):
+        """An edge-list id is ASCII decimal digits: int() would read
+        ``1_0`` as node 10 and an Arabic-Indic one as node 1."""
+        path = tmp_path / "edges.txt"
+        path.write_text(f"{line}\n2 3\n", encoding="utf-8")
+        assert main(["ingest", "--format", "konect", "--in", str(path),
+                     "--out", str(tmp_path / "g.json")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: malformed-line: line 1: "
+                                   "non-integer node id")
+
     def test_usage_errors_exit_2(self, capsys):
         assert main(["generate", "--model", "ba"]) == 2
         assert main(["nonsense"]) == 2

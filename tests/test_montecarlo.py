@@ -387,8 +387,8 @@ class TestOneGrowthPerTrial:
         from clustopt.errors import ConvergenceError, DisconnectedError
         from clustopt.graph_io import write_graph
 
-        def failing_lambda2(lap, m):
-            return [ConvergenceError("no lambda2")] * m
+        def failing_lambda2(n, parts):
+            return [ConvergenceError("no lambda2")] * len(parts)
 
         path = tmp_path / "disc.json"
         write_graph(build_graph([(0, 1, 1), (2, 3, 1)], n=4), str(path))
@@ -473,11 +473,11 @@ class TestOneGrowthPerTrial:
                 raise DisconnectedError("trial 2 fails")
             return initialize(g, model, sim, rng)
 
-        def failing_lambda2(lap, m):  # SF is built first: trials 0, 1, 3
-            out = blocks(lap, m)
+        def failing_lambda2(n, parts):  # SF is built first: trials 0, 1, 3
+            out = blocks(n, parts)
             if not calls:
                 out[1] = ConvergenceError("no lambda2")
-            calls.append(m)
+            calls.append(len(parts))
             return out
 
         monkeypatch.setattr(montecarlo, "initialize", failing_initialize)

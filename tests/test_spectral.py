@@ -210,8 +210,9 @@ class TestLambda2:
         assert abs(lambda2_laplacian(g) - expected) <= 1e-8 * lam_max
 
 
-def _union(graphs: list[Graph]) -> sp.csr_matrix:
-    return union_laplacian(graphs[0].n, [(g.edges, g.weights) for g in graphs])
+def _blocks(graphs: list[Graph]) -> list:
+    """``lambda2_blocks`` of graphs of one order."""
+    return lambda2_blocks(graphs[0].n, [(g.edges, g.weights) for g in graphs])
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
@@ -229,7 +230,7 @@ class TestStackedLambda2:
 
     def test_stack_matches_lone_bit_for_bit(self, graphs):
         assert self.N > DENSE_LIMIT
-        stacked = lambda2_blocks(_union(graphs), len(graphs))
+        stacked = _blocks(graphs)
         for g, lam2 in zip(graphs, stacked):
             vals = np.linalg.eigvalsh(laplacian(g))
             assert lam2 == lambda2_laplacian(g)
@@ -261,14 +262,53 @@ class TestStackedLambda2:
         monkeypatch.setattr(spectral, "LOBPCG_ITERS_PER_NODE", 400 / n)
         with pytest.raises(ConvergenceError, match="lost rank"):
             lambda2_laplacian(graphs[1])
-        got = lambda2_blocks(_union(
-            [graphs[0], graphs[1], path, graphs[2], split, graphs[3]]), 6)
+        got = _blocks([graphs[0], graphs[1], path, graphs[2], split, graphs[3]])
         assert [got[0], got[3], got[5]] == [lone[0], lone[2], lone[3]]
         assert got[4] == 0.0
         assert isinstance(got[1], ConvergenceError)
         assert "lost rank" in str(got[1])
         assert isinstance(got[2], ConvergenceError)
         assert "after 400 iterations" in str(got[2])
+
+
+class TestStackMemory:
+    """The stacked solve holds one union Laplacian: every block that leaves
+    it is cut out in place, and its components come without scipy's
+    transposed copy."""
+
+    def test_stack_peak_within_bound_of_its_union(self):
+        """20 weighted HK graphs (n = 500, links=6, L2 = 1): the traced
+        peak, union included, stays under 2.6 times the union's bytes.
+        A second copy of the union would take it above 3."""
+        rng = np.random.default_rng(90)
+        parts = []
+        for _ in range(20):
+            g = assign_random_weights(generate_hk(HkParams(500, 6, 1), rng), rng)
+            parts.append((g.edges.astype(np.int32), g.weights))
+        union = union_laplacian(500, parts)
+        size = union.data.nbytes + union.indices.nbytes + union.indptr.nbytes
+        del union
+        tracemalloc.start()
+        try:
+            got = lambda2_blocks(500, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(v, float) and v > 0 for v in got)
+        assert peak < 2.6 * size
+
+    def test_lone_graph_keeps_its_laplacian(self):
+        """The one-graph routes solve on the graph's cached Laplacian and
+        never cut it."""
+        g = weighted_scale_free("hk", DENSE_LIMIT + 150, np.random.default_rng(91))
+        lap = laplacian_sparse(g)
+        before = [a.copy() for a in (lap.data, lap.indices, lap.indptr)]
+        lambda2_laplacian(g)
+        spectral_report(g, 1.0)
+        convergence_rate(JacobianSpec(lap, 1.0, np.zeros(g.n)))
+        assert laplacian_sparse(g) is lap
+        for a, b in zip((lap.data, lap.indices, lap.indptr), before):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
@@ -293,7 +333,7 @@ class TestLobpcgFloor:
         eigvalsh, dense = spectral.sla.eigvalsh, []
         monkeypatch.setattr(spectral.sla, "eigvalsh",
                             lambda *a, **k: dense.append(1) or eigvalsh(*a, **k))
-        got = lambda2_blocks(_union(graphs), len(graphs))
+        got = _blocks(graphs)
         assert bool(dense) == (n < LOBPCG_MIN_ORDER)
         for g, lam2 in zip(graphs, got):
             assert isinstance(lam2, float)
@@ -322,7 +362,7 @@ class TestLobpcgFloor:
     def test_one_graph_below_dense_limit_is_lobpcg(self, no_dense):
         g = weighted_scale_free("hk", 300, np.random.default_rng(34))
         assert 300 <= DENSE_LIMIT
-        (lam2,) = lambda2_blocks(_union([g]), 1)
+        (lam2,) = _blocks([g])
         vals = np.linalg.eigvalsh(laplacian(g))
         assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
 
