@@ -35,7 +35,6 @@ from .graphs import (
     degree_stats,
     global_clustering,
     is_connected,
-    laplacian,
     laplacian_sparse,
     local_clustering,
     powerlaw_tail_slope,
@@ -58,7 +57,6 @@ from .spectral import (
     build_jacobian,
     convergence_rate,
     eig_general,
-    eig_symmetric,
     lambda2_laplacian,
     spectral_report,
 )

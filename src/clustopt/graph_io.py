@@ -34,9 +34,11 @@ from .errors import (
     GraphParseError,
     IndexOutOfRangeError,
     MalformedLineError,
+    SizeLimitError,
     VersionMismatchError,
 )
-from .graphs import Graph, _components, _is_int, _is_real, laplacian_sparse
+from .graphs import DEFAULT_SIZE_CAP, Graph, _components, _is_int, _is_real, \
+    laplacian_sparse
 
 GRAPH_FORMAT_VERSION = 1
 # an edge-list node id: ASCII decimal digits with an optional sign, where
@@ -60,7 +62,8 @@ def dumps_graph(g: Graph) -> str:
 def loads_graph(text: str) -> Graph:
     """The graph of a document as written: the version, ``n`` and each row's
     ``i`` and ``j`` integers and ``w`` a finite number, or
-    :class:`GraphParseError`."""
+    :class:`GraphParseError`; :class:`SizeLimitError` when ``n`` exceeds
+    ``DEFAULT_SIZE_CAP``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -82,9 +85,12 @@ def loads_graph(text: str) -> Graph:
             raise GraphParseError(f"edge row {k} is not [i, j, w] with integer "
                                   f"i, j and a finite weight w: {r!r}")
     try:  # an endpoint beyond int64
-        return Graph(n, [r[:2] for r in rows], [r[2] for r in rows])
+        g = Graph(n, [r[:2] for r in rows], [r[2] for r in rows])
     except OverflowError as exc:
         raise IndexOutOfRangeError(f"edge endpoint outside [0, {n})") from exc
+    if g.n > DEFAULT_SIZE_CAP:
+        raise SizeLimitError(f"node count {g.n} exceeds cap {DEFAULT_SIZE_CAP}")
+    return g
 
 
 def write_graph(g: Graph, path: str) -> None:

@@ -50,6 +50,10 @@ from .errors import (
     SelfLoopError,
 )
 
+# The largest node count a graph document may give, and the largest Jacobian
+# order of the rate measure.
+DEFAULT_SIZE_CAP = 20000
+
 
 def _is_int(v) -> bool:
     """True for integers, False for bools (a bool is a numbers.Integral)."""
@@ -185,15 +189,6 @@ def build_graph(edge_list: Iterable[tuple[int, int, float]],
     if n is None:
         n = int(edges.max()) + 1 if edges.size else 0
     return Graph(n, edges, weights)
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense weighted Laplacian: degree matrix minus weighted adjacency.
-
-    Symmetric with zero row sums; off-diagonal ``(i, j)`` is ``-w_ij`` for
-    adjacent pairs and 0 otherwise.
-    """
-    return laplacian_sparse(g).toarray()
 
 
 def laplacian_sparse(g: Graph) -> sp.csr_matrix:

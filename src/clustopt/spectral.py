@@ -24,13 +24,14 @@ Both measures set the structural zeros aside by the connected components:
 the algebraic connectivity is the smallest Laplacian eigenvalue orthogonal
 to the component indicators, and the rate is read off a Jacobian whose
 structural zeros a rank-one shift per component has moved far left (see
-:func:`convergence_rate`).  Each has a dense solver for one graph of small
-order and a sparse one above it; the sparse Laplacian gap is this module's
-own block LOBPCG (:func:`_lobpcg`), whose bits do not depend on the BLAS
-thread count.  :func:`lambda2_blocks` solves many graphs of one order by it
-from ``LOBPCG_MIN_ORDER`` up, in one run on their union Laplacian from
-:mod:`clustopt.graphs`, each with the bits it has alone; it builds that
-union itself, so every block that leaves the stack is cut out in place.
+:func:`convergence_rate`).  Each has one route from ``ITERATIVE_MIN_ORDER``
+up, whose bits do not depend on the BLAS thread count: the Laplacian gap is
+this module's own block LOBPCG (:func:`_lobpcg`), and the rate ARPACK on a
+matrix-free operator.  Below that floor each is one dense LAPACK solve.
+:func:`lambda2_blocks` solves many graphs of one order by :func:`_lobpcg`
+in one run on their union Laplacian from :mod:`clustopt.graphs`, each with
+the bits it has alone; it builds that union itself, so every block that
+leaves the stack is cut out in place.
 """
 
 from __future__ import annotations
@@ -52,24 +53,20 @@ from .errors import (
     NotSymmetricError,
     SizeLimitError,
 )
-from .graphs import Graph, _components, laplacian_blocks, laplacian_sparse, \
-    union_laplacian
+from .graphs import DEFAULT_SIZE_CAP, Graph, _components, laplacian_blocks, \
+    laplacian_sparse, union_laplacian
 
-# Order up to which the gap of one graph alone uses the dense solver: the
-# speed crossover, not a correctness limit.  Median CPU of one dsyevr
-# eigenvalue against _lobpcg on eight weighted BA and HK graphs (links=6,
-# best of 5; 2 vCPU Xeon, one BLAS thread): 5.7 against 14.8 ms at n = 300,
-# 10.0 against 11.9 ms at 400, 13.1 against 15.3 ms at 450, 16.3 against
-# 15.9 ms at 500, 24.4 against 15.0 ms at 600 and 51.5 against 21.2 ms at
-# 800.  dsyevr's last bits can depend on the BLAS thread count.
-DENSE_LIMIT = 450
-# Order from which lambda2_blocks solves graphs by _lobpcg, whatever their
-# number.  On stacks of 40 weighted BA, HK and path graphs, most graphs at
-# n = 4, 6 and 8 lost the rank of the block-2 basis; from n = 9 to 16 all
-# 2,000 per order matched eigvalsh within 1e-12 times the scale.  dsyevr's
-# bits matched on 1 and 2 OpenBLAS threads for 1,350 graphs at n = 3-11.
-LOBPCG_MIN_ORDER = 12
-DEFAULT_SIZE_CAP = 20000
+# Order from which both quantities are iterative: the Laplacian gap is a
+# _lobpcg solve once the dimension off the component indicators, n - ncomp,
+# is at least ITERATIVE_MIN_ORDER - 1 (n for a connected graph), and the rate
+# an ARPACK solve once n is.  Below it each is one LAPACK solve, dsyevr or
+# dgeev.  Why a floor: on stacks of 40 weighted BA, HK and path graphs, most
+# graphs at n = 4, 6 and 8 lost the rank of the block-2 basis, while from
+# n = 9 to 16 all 2,000 per order matched eigvalsh within 1e-12 times the
+# scale; and ARPACK needs more than ARNOLDI_K + 1 and at most 2n Krylov
+# vectors.  Below it the bits of dsyevr and dgeev matched on 1 and 2
+# OpenBLAS threads for 1,350 graphs at n = 3-11 (tests/test_spectral.py).
+ITERATIVE_MIN_ORDER = 12
 # LOBPCG stops once the residual norm is below LOBPCG_TOL times the
 # Gershgorin bound on the largest Laplacian eigenvalue.  A Laplacian
 # eigenvalue lies within the residual norm of the returned value.
@@ -79,11 +76,9 @@ LOBPCG_TOL = 1e-10
 # one at most 20.  Unit-weight paths and cycles need at most 2.3, and
 # weighted scale-free graphs at n = 3000 66-180 iterations in all.
 LOBPCG_ITERS_PER_NODE = 21
-# Order up to which the rate measure solves the dense Jacobian.  A speed
-# crossover: the matrix-free path is faster above it (see convergence_rate).
-RATE_DENSE_LIMIT = 175
 # ARPACK settings of the matrix-free rate: the number of rightmost
-# eigenvalues, their relative residual tolerance and the Krylov basis size.
+# eigenvalues, their relative residual tolerance and the Krylov basis size,
+# which is at most 2n.
 ARNOLDI_K = 6
 ARNOLDI_TOL = 1e-10
 ARNOLDI_NCV = 40
@@ -131,20 +126,6 @@ class JacobianSpec:
         object.__setattr__(self, "hessian_diag", h)
 
 
-def eig_symmetric(m: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {m.shape}")
-    if m.shape[0] > size_cap:
-        raise SizeLimitError(f"order {m.shape[0]} exceeds cap {size_cap}")
-    _check_symmetric(m)
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
-
-
 def _check_symmetric(m: np.ndarray | sp.spmatrix) -> None:
     """Dense or sparse, symmetric within 1e-12 of its largest entry."""
     if m.shape[0] and abs(m - m.T).max() > 1e-12 * max(1.0, abs(m).max()):
@@ -168,17 +149,18 @@ def lambda2_laplacian(g: Graph) -> float:
     """Algebraic connectivity of the weighted Laplacian.
 
     0.0 for a graph of at most one node and for a disconnected graph.
-    Otherwise one LAPACK eigenvalue up to ``DENSE_LIMIT``; above it, one
-    LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) for the
-    smallest eigenvalue orthogonal to the constant vector, with a block of
-    two vectors, a Jacobi preconditioner and a start block from a fixed
-    seed, so reruns give the same bits.  The second vector keeps the solve
-    going where lambda3 lies close above lambda2, as on clustered
-    scale-free graphs, where one vector stalls.  ``ConvergenceError`` is
-    raised when its residual is still above ``LOBPCG_TOL`` times twice the
-    largest weighted degree after ``LOBPCG_ITERS_PER_NODE * n``
-    iterations.  Values within 1e-12 times that bound of the structural
-    zero are clamped to exactly 0.
+    Otherwise, from order ``ITERATIVE_MIN_ORDER`` up, one LOBPCG solve
+    (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) for the smallest eigenvalue
+    orthogonal to the constant vector, with a block of two vectors, a
+    Jacobi preconditioner and a start block from a fixed seed, so reruns
+    give the same bits, and so does :func:`lambda2_blocks` for the graph;
+    below that order one LAPACK ``dsyevr`` eigenvalue.  The second vector
+    keeps the solve going where lambda3 lies close above lambda2, as on
+    clustered scale-free graphs, where one vector stalls.
+    ``ConvergenceError`` is raised when its residual is still above
+    ``LOBPCG_TOL`` times twice the largest weighted degree after
+    ``LOBPCG_ITERS_PER_NODE * n`` iterations.  Values within 1e-12 times
+    that bound of the structural zero are clamped to exactly 0.
     """
     return _lambda2(laplacian_sparse(g))[0]
 
@@ -201,7 +183,7 @@ def lambda2_blocks(n: int, parts: list[tuple[np.ndarray, np.ndarray]]
     owned here only, so every cut of it is in place
     (:func:`~clustopt.graphs.laplacian_blocks`): the disconnected graphs
     leave it up front, and :func:`_lobpcg` consumes what is left.  From
-    ``LOBPCG_MIN_ORDER`` up, for any number of graphs, the connected ones
+    ``ITERATIVE_MIN_ORDER`` up, for any number of graphs, the connected ones
     are solved in that one stacked run, and each value has the bits of its
     graph solved alone; below it each is a LAPACK eigenvalue.  A graph whose
     solve fails has its ``ConvergenceError`` in its place.
@@ -212,7 +194,7 @@ def lambda2_blocks(n: int, parts: list[tuple[np.ndarray, np.ndarray]]
     connected = (labels == labels[:, :1]).all(axis=1) & (n > 1)
     blocks = np.flatnonzero(connected)
     k = blocks.size
-    if n < LOBPCG_MIN_ORDER or k == 0:  # below the floor: dsyevr each
+    if n < ITERATIVE_MIN_ORDER or k == 0:  # below the floor: dsyevr each
         for b in blocks:
             rows = slice(b * n, b * n + n)
             try:
@@ -233,28 +215,31 @@ def _clamped(lam2: float, scale: float) -> float:
     return 0.0 if abs(lam2) <= 1e-12 * max(1.0, scale) else lam2
 
 
-def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
+def _laplacian_gap(lap: sp.csr_matrix,
                    comps: tuple | None = None) -> tuple[float, float]:
     """Smallest eigenvalue orthogonal to the component indicators of the
-    Laplacian ``lap`` of one graph, with the Gershgorin bound on the
-    largest, the scale of its rounding.
+    symmetric Laplacian ``lap`` of one graph, with the Gershgorin bound on
+    the largest, the scale of its rounding.
 
-    ``comps`` is ``connected_components(lap)`` where the caller has it.  Up
-    to ``DENSE_LIMIT``: eigenvalue ``ncomp`` by LAPACK ``dsyevr``; above it,
-    one :func:`_lobpcg` run without the isolated nodes.  ``AllZeroError``
-    when every node is its own component.
+    ``comps`` is ``connected_components(lap)`` where the caller has it.
+    While ``n - ncomp`` is below ``ITERATIVE_MIN_ORDER - 1``: eigenvalue
+    ``ncomp`` by LAPACK ``dsyevr``; from there up, one :func:`_lobpcg` run
+    without the isolated nodes, which leave ``n - ncomp`` as it is.  The
+    floor counts ``n - ncomp``, not n: a graph of many small components
+    has few dimensions left to solve in, and there the block-2 basis loses
+    rank as it does on small graphs.  ``AllZeroError`` when every node is
+    its own component.
     """
     ncomp, labels = comps or connected_components(lap, directed=False)
     n = lap.shape[0]
     if ncomp == n:
         raise AllZeroError("all Laplacian eigenvalues are structurally zero")
     scale = 2.0 * float(lap.diagonal().max())
-    if n <= DENSE_LIMIT:
-        _check_symmetric(lap)  # a tenth of the cost of the dense check
-        a = lap.toarray() if sp.issparse(lap) else np.array(lap)
+    if n - ncomp < ITERATIVE_MIN_ORDER - 1:
         try:  # overwrites its own copy
-            gap = sla.eigvalsh(a, subset_by_index=[ncomp, ncomp], driver="evr",
-                               overwrite_a=True, check_finite=False)
+            gap = sla.eigvalsh(lap.toarray(), subset_by_index=[ncomp, ncomp],
+                               driver="evr", overwrite_a=True,
+                               check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(str(exc)) from exc
         return float(gap[0]), scale
@@ -268,7 +253,7 @@ def _laplacian_gap(lap: np.ndarray | sp.spmatrix,
     return gap, scale
 
 
-def _lobpcg(lap: np.ndarray | sp.spmatrix, m: int, labels: np.ndarray,
+def _lobpcg(lap: sp.csr_matrix, m: int, labels: np.ndarray,
             sizes: np.ndarray) -> list[float | ConvergenceError]:
     """Smallest Ritz value off the component indicators in each of the
     ``m`` diagonal blocks of ``lap``, all of one order.
@@ -419,28 +404,17 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
     spectrum; the shift adds ``sigma`` times the component mean of x to x.
     Eigenvalues with |Re| below ``zero_tol`` are still discarded as
     structural: where a component's curvatures sum to zero its zero is
-    defective, and the shift moves one of the pair.  Two solvers:
+    defective, and the shift moves one of the pair.  One solver per order:
 
-    * Dense, up to order ``RATE_DENSE_LIMIT``: every eigenvalue of the
-      shifted Jacobian.
-    * Matrix-free, above it: ARPACK (Lehoucq, Sorensen & Yang, ARPACK Users'
-      Guide, SIAM, 1998) finds the ``ARNOLDI_K`` eigenvalues of largest real
-      part of the shifted operator, two sparse Laplacian products per
-      application, from a start vector of a fixed seed, so reruns give the
-      same bits.  ``ConvergenceError`` is raised when ARPACK has not
-      converged after ``ARNOLDI_RESTARTS_PER_NODE * n`` restarts.
-
-    The limit is a measured speed crossover.  Median CPU over eight BA and
-    HK graphs, both cost families and alpha in {1e-3, 1}, dense against
-    matrix-free: 33.1 against 41.2 ms at n = 150, 41.4 against 40.7 ms at
-    n = 175, 49.7 against 35.9 ms at n = 200 and 186 against 62 ms at
-    n = 300 (2 vCPU Xeon, BLAS on one thread).  Stiff spectra (mlloss at
-    alpha = 1, curvatures near 200) are slower matrix-free up to n = 500
-    (0.6-0.7 against 0.5 s) and about even at n = 800 (1.1-1.8 against
-    1.5-1.7 s); the rest are 8-20 times faster at n = 800.  Above the
-    limit the two paths agree to a relative 1e-10; where they differ by
-    more than 1e-12 the difference is the dense solve's rounding,
-    eps * ||J|| against a small rate.
+    * From order ``ITERATIVE_MIN_ORDER`` up, matrix-free: ARPACK (Lehoucq,
+      Sorensen & Yang, ARPACK Users' Guide, SIAM, 1998) finds the
+      ``ARNOLDI_K`` eigenvalues of largest real part of the shifted
+      operator, two sparse Laplacian products per application, with a
+      Krylov basis of ``min(ARNOLDI_NCV, 2n)`` vectors and a start vector
+      of a fixed seed, so reruns give the same bits.  ``ConvergenceError``
+      is raised when ARPACK has not converged after
+      ``ARNOLDI_RESTARTS_PER_NODE * n`` restarts.
+    * Below it: every eigenvalue of the dense shifted Jacobian (LAPACK).
 
     At alpha = 1e-3 the rate equals alpha times the mean curvature to about
     7 digits, a slow mode far right of the Laplacian bulk (on an HK graph
@@ -450,7 +424,10 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
     With all curvatures zero the spectrum is that of the negated Laplacian
     doubled, and the rate is the Laplacian gap that :func:`lambda2_laplacian`
     computes, without clamping; its structural zeros are the component
-    indicators, so ``zero_tol`` plays no part.  Otherwise ``SizeLimitError``
+    indicators, so ``zero_tol`` plays no part.  A matrix given here is the
+    one way a Laplacian this package did not build reaches that gap, so it
+    is checked first: ``NotSymmetricError`` unless it is symmetric within
+    1e-12 of its largest entry.  Otherwise ``SizeLimitError``
     is raised, before any allocation, when the Jacobian order ``2n`` exceeds
     ``DEFAULT_SIZE_CAP``.
     """
@@ -462,20 +439,21 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
 
     h = spec.hessian_diag
     if not h.any():
-        return _laplacian_gap(lap)[0]
+        _check_symmetric(lap)
+        return _laplacian_gap(sp.csr_matrix(lap))[0]
 
     n = lap.shape[0]
     if 2 * n > DEFAULT_SIZE_CAP:
         raise SizeLimitError(
             f"Jacobian order {2 * n} exceeds cap {DEFAULT_SIZE_CAP}")
     labels, shift = _consensus_shift(lap, spec.alpha, h)
-    if n > RATE_DENSE_LIMIT:
-        vals = _rightmost_arnoldi(sp.csr_matrix(lap), spec.alpha, h,
-                                  labels, shift)
-    else:
+    if n < ITERATIVE_MIN_ORDER:
         jac = build_jacobian(spec)
         jac[:n, :n] += (labels[:, None] == labels) * shift[labels]
         vals = eig_general(jac)
+    else:
+        vals = _rightmost_arnoldi(sp.csr_matrix(lap), spec.alpha, h,
+                                  labels, shift)
     keep = vals[np.abs(vals.real) >= zero_tol]
     if keep.size == 0:
         raise AllZeroError("all Jacobian eigenvalues are structurally zero")
@@ -511,7 +489,7 @@ def _rightmost_arnoldi(lap: sp.csr_matrix, alpha: float, h: np.ndarray,
     v0 = np.random.default_rng(0).standard_normal(2 * n)
     try:
         return spla.eigs(op, k=ARNOLDI_K, which="LR", tol=ARNOLDI_TOL, v0=v0,
-                         ncv=ARNOLDI_NCV,
+                         ncv=min(ARNOLDI_NCV, 2 * n),
                          maxiter=math.ceil(ARNOLDI_RESTARTS_PER_NODE * n),
                          return_eigenvectors=False)
     except spla.ArpackError as exc:  # includes ArpackNoConvergence

@@ -51,6 +51,11 @@ from clustopt.graphs import (
 )
 
 
+def dense_laplacian(g: Graph) -> np.ndarray:
+    """The weighted Laplacian of ``g`` as a dense array."""
+    return laplacian_sparse(g).toarray()
+
+
 def complete_graph(n: int, weight: float = 1.0) -> Graph:
     """K_n with uniform weights."""
     idx = np.triu_indices(n, k=1)

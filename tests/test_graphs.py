@@ -24,7 +24,6 @@ from clustopt.graphs import (
     degree_stats,
     global_clustering,
     is_connected,
-    laplacian,
     laplacian_blocks,
     laplacian_sparse,
     local_clustering,
@@ -130,20 +129,20 @@ class TestGraphAccessors:
         np.add.at(wd, g.edges[:, 1], g.weights)
         got = g.weighted_degrees()
         assert got.dtype == wd.dtype and got.tobytes() == wd.tobytes()
-        assert np.array_equal(got, np.diag(laplacian(g)))
+        assert np.array_equal(got, np.diag(laplacian_sparse(g).toarray()))
 
 
 class TestLaplacian:
     def test_single_edge_unit(self):
         g = build_graph([(0, 1, 1.0)])
-        assert laplacian(g).tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+        assert laplacian_sparse(g).toarray().tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
     def test_single_edge_weighted(self):
         g = build_graph([(0, 1, 2.5)])
-        assert laplacian(g).tolist() == [[2.5, -2.5], [-2.5, 2.5]]
+        assert laplacian_sparse(g).toarray().tolist() == [[2.5, -2.5], [-2.5, 2.5]]
 
     def test_unit_triangle(self):
-        lap = laplacian(build_graph([(0, 1, 1), (0, 2, 1), (1, 2, 1)]))
+        lap = laplacian_sparse(build_graph([(0, 1, 1), (0, 2, 1), (1, 2, 1)])).toarray()
         assert np.array_equal(np.diag(lap), [2, 2, 2])
         off = lap[~np.eye(3, dtype=bool)]
         assert np.array_equal(off, -np.ones(6))
@@ -152,12 +151,16 @@ class TestLaplacian:
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(2, 40)), 0.3)
-            lap = laplacian(g)
+            lap = laplacian_sparse(g).toarray()
             assert np.array_equal(lap, lap.T)
             assert np.array_equal(lap.sum(axis=1), np.zeros(g.n))
             assert (np.diag(lap) >= 0).all()
-            dense_from_sparse = laplacian_sparse(g).toarray()
-            assert np.array_equal(dense_from_sparse, lap)
+            # unit weights: an entry-by-entry build from the edges is exact
+            ref = np.zeros((g.n, g.n))
+            i, j = g.edges[:, 0], g.edges[:, 1]
+            ref[i, j] = ref[j, i] = -g.weights
+            ref[np.diag_indices(g.n)] = g.degrees()
+            assert np.array_equal(lap, ref)
 
 
 def one_graph_union(graphs):

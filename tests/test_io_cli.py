@@ -29,10 +29,11 @@ from clustopt.graph_io import (
     read_graph,
     write_graph,
 )
-from clustopt.graphs import build_graph, global_clustering
+from clustopt.graphs import DEFAULT_SIZE_CAP, assign_random_weights, \
+    build_graph, global_clustering
 from clustopt.montecarlo import ScatterRow
 from clustopt.costs import sample_quartic
-from clustopt.spectral import LOBPCG_MIN_ORDER
+from clustopt.spectral import ITERATIVE_MIN_ORDER
 from helpers import complete_graph
 
 
@@ -447,6 +448,24 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith("error: index-out-of-range: ")
 
+    @pytest.mark.parametrize("command", [
+        ["metrics"], ["spectral", "--alpha", "1.0"],
+        ["rewire", "--target-c", "0.5", "--max-swaps", "10", "--out", "{d}/r.json"],
+    ], ids=["metrics", "spectral", "rewire"])
+    @pytest.mark.parametrize("n", [2 ** 62, DEFAULT_SIZE_CAP + 1],
+                             ids=["2^62", "cap+1"])
+    def test_node_count_above_size_cap_exits_1(self, tmp_path, capsys,
+                                               command, n):
+        """A document's node count above DEFAULT_SIZE_CAP is refused when
+        it is read, before any n-length array is asked for."""
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"version": 1, "n": {n}, "edges": [[0, 1, 1.0]]}}')
+        args = [a.format(d=tmp_path) for a in command[1:]]
+        assert main([command[0], "--in", str(path), *args]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: size-limit-exceeded: ")
+
     @pytest.mark.parametrize("version", ["true", "1.0"])
     def test_non_integer_version_exits_1(self, tmp_path, capsys, version):
         """The version is the JSON integer 1, not a value equal to it."""
@@ -490,12 +509,12 @@ class TestCli:
 ])
 def test_mc_summary_bytes_do_not_depend_on_blas_threads(tmp_path, n, trials,
                                                         base_seed):
-    """From LOBPCG_MIN_ORDER up every campaign lambda2 is a stacked LOBPCG
+    """From ITERATIVE_MIN_ORDER up every campaign lambda2 is a stacked LOBPCG
     solve, whose bits do not depend on the OpenBLAS thread count, whatever
     the order and the number of trials.  Solved by dsyevr per graph, the
     n = 150 and the one-trial configs gave a mean_lambda2 that differed
     between 1 and 2 threads."""
-    assert n >= LOBPCG_MIN_ORDER
+    assert n >= ITERATIVE_MIN_ORDER
     cfg = {
         "topologies": [
             {"label": "SF", "model": "ba", "n": n, "links": 6},
@@ -523,3 +542,38 @@ def test_mc_summary_bytes_do_not_depend_on_blas_threads(tmp_path, n, trials,
         digests.append(
             hashlib.sha256((out / "summary.json").read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("n, seed", [(170, 6), (300, 3), (450, 0)])
+def test_spectral_and_scatter_bytes_do_not_depend_on_blas_threads(
+        tmp_path, n, seed):
+    """From ITERATIVE_MIN_ORDER up a lone graph's lambda2 is LOBPCG and its
+    rate ARPACK, whose bits do not depend on the OpenBLAS thread count.
+    Solved densely (dsyevr up to order 450, a dense Jacobian up to 175),
+    each of these weighted HK graphs printed other bytes on 1 and on 2
+    threads."""
+    g = tmp_path / "g.json"
+    assert main(["generate", "--model", "hk", "--n", str(n), "--l", "6",
+                 "--l2", "1", "--seed", str(seed), "--out", str(g)]) == 0
+    weighted = tmp_path / "weighted.json"
+    write_graph(assign_random_weights(read_graph(str(g)),
+                                      np.random.default_rng(seed)),
+                str(weighted))
+    src = os.path.dirname(os.path.dirname(clustopt.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        spectral = subprocess.run(
+            [sys.executable, "-m", "clustopt.cli", "spectral", "--in", str(g),
+             "--alpha", "1.0", "--cost", "mlloss", "--cost-seed", str(seed),
+             "--weights", "random", "--seed", str(seed)],
+            env=env, check=True, capture_output=True)
+        scatter = tmp_path / f"scatter{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "clustopt.cli", "scatter", "--inputs",
+             str(weighted), "--alpha", "1.0", "--out", str(scatter)],
+            env=env, check=True, capture_output=True)
+        outputs.append((spectral.stdout, scatter.read_bytes()))
+    assert outputs[0] == outputs[1]

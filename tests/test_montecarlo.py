@@ -452,7 +452,7 @@ class TestOneGrowthPerTrial:
         from clustopt.costs import sample_quartic
         from clustopt.dynamics import stability_max_step
         from clustopt.errors import ConvergenceError, DisconnectedError
-        from clustopt.spectral import DENSE_LIMIT, lambda2_laplacian
+        from clustopt.spectral import ITERATIVE_MIN_ORDER, lambda2_laplacian
 
         cfg = McConfig(
             topologies=(TopologySpec("SF", "ba", n=500, links=3),
@@ -463,7 +463,7 @@ class TestOneGrowthPerTrial:
             trials=4,
             base_seed=6,
         )
-        assert 500 > DENSE_LIMIT  # the labels' lambda2 are stacked LOBPCG
+        assert 500 >= ITERATIVE_MIN_ORDER  # the labels' lambda2 are stacked LOBPCG
         bad = sample_quartic(500, np.random.default_rng(
             trial_seed(6, montecarlo._SHARED_LABEL, 2))).a[0]
         initialize, blocks = montecarlo.initialize, montecarlo.lambda2_blocks

@@ -27,7 +27,6 @@ from clustopt.graphs import (  # noqa: E402
     _triangles,
     assign_random_weights,
     is_connected,
-    laplacian,
     laplacian_sparse,
 )
 from clustopt.montecarlo import (  # noqa: E402
@@ -38,8 +37,6 @@ from clustopt.montecarlo import (  # noqa: E402
     config_to_dict,
 )
 from clustopt.spectral import (  # noqa: E402
-    DENSE_LIMIT,
-    RATE_DENSE_LIMIT,
     JacobianSpec,
     convergence_rate,
     default_zero_tol,
@@ -50,6 +47,7 @@ from helpers import (  # noqa: E402
     brute_force_triangles,
     curvatures_at_optimum,
     dense_jacobian_rate,
+    dense_laplacian,
     random_connected_graph,
     random_graph,
     weighted_scale_free,
@@ -93,9 +91,10 @@ def test_euler_step_keeps_tracking_total(seed, n, family, h_frac, tracked):
        alpha=st.sampled_from([1e-3, 1.0]))
 def test_rate_just_above_dense_limit_matches_dense(seed, extra, model, family,
                                                    alpha):
-    """The matrix-free rate agrees with a dense solve of the whole Jacobian."""
+    """The matrix-free rate agrees with a dense solve of the whole Jacobian
+    at orders 176-215."""
     rng = np.random.default_rng(seed)
-    n = RATE_DENSE_LIMIT + extra
+    n = 175 + extra
     g = weighted_scale_free(model, n, rng)
     h = curvatures_at_optimum(family, n, rng)
     lap = laplacian_sparse(g)
@@ -111,10 +110,11 @@ def test_rate_just_above_dense_limit_matches_dense(seed, extra, model, family,
        alpha=st.sampled_from([1e-3, 1.0]), zero_sum=st.booleans())
 def test_rate_just_below_dense_limit_matches_dense(seed, below, model, family,
                                                    alpha, zero_sum):
-    """The shifted dense Jacobian gives the rate of the unshifted one, also
-    where the curvatures sum to zero and the structural zero is defective."""
+    """The rate of the shifted operator at orders 135-175 is that of the
+    unshifted Jacobian, also where the curvatures sum to zero and the
+    structural zero is defective."""
     rng = np.random.default_rng(seed)
-    n = RATE_DENSE_LIMIT - below
+    n = 175 - below
     g = weighted_scale_free(model, n, rng)
     h = curvatures_at_optimum(family, n, rng)
     if zero_sum:
@@ -129,11 +129,12 @@ def test_rate_just_below_dense_limit_matches_dense(seed, below, model, family,
 @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 40),
        extra_p=st.floats(0.001, 0.01))
 def test_lambda2_just_above_dense_limit_matches_eigvalsh(seed, extra, extra_p):
-    """The LOBPCG lambda2 agrees with a dense symmetric eigensolve."""
+    """The LOBPCG lambda2 agrees with a dense symmetric eigensolve at orders
+    451-490."""
     rng = np.random.default_rng(seed)
     g = assign_random_weights(
-        random_connected_graph(rng, DENSE_LIMIT + extra, extra_p), rng)
-    vals = np.linalg.eigvalsh(laplacian(g))
+        random_connected_graph(rng, 450 + extra, extra_p), rng)
+    vals = np.linalg.eigvalsh(dense_laplacian(g))
     assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
 
 

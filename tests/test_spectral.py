@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -20,20 +23,16 @@ from clustopt.graphs import (
     Graph,
     assign_random_weights,
     build_graph,
-    laplacian,
     laplacian_sparse,
     union_laplacian,
 )
 from clustopt.spectral import (
-    DENSE_LIMIT,
-    LOBPCG_MIN_ORDER,
-    RATE_DENSE_LIMIT,
+    ITERATIVE_MIN_ORDER,
     JacobianSpec,
     build_jacobian,
     convergence_rate,
     default_zero_tol,
     eig_general,
-    eig_symmetric,
     lambda2_blocks,
     lambda2_laplacian,
     spectral_report,
@@ -44,6 +43,7 @@ from helpers import (
     curvatures_at_optimum,
     cycle_graph,
     dense_jacobian_rate,
+    dense_laplacian,
     grow_case,
     jacobi_eigenvalues,
     random_connected_graph,
@@ -52,29 +52,14 @@ from helpers import (
 
 
 class TestEigSolvers:
-    def test_identity(self):
-        assert eig_symmetric(np.eye(3)).tolist() == [1.0, 1.0, 1.0]
-
     def test_rotation_generator(self):
         vals = eig_general(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert sorted(vals.imag.tolist()) == pytest.approx([-1.0, 1.0], abs=1e-12)
         assert vals.real == pytest.approx([0.0, 0.0], abs=1e-12)
 
-    def test_not_symmetric_rejected(self):
-        with pytest.raises(NotSymmetricError):
-            eig_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
-            eig_symmetric(np.eye(5), size_cap=4)
-        with pytest.raises(SizeLimitError):
             eig_general(np.eye(5), size_cap=4)
-
-    def test_against_jacobi_oracle(self):
-        rng = np.random.default_rng(19)
-        m = rng.standard_normal((50, 50))
-        m = m + m.T
-        assert eig_symmetric(m) == pytest.approx(jacobi_eigenvalues(m), abs=1e-8)
 
 
 @pytest.fixture(scope="module", params=[
@@ -87,16 +72,16 @@ def clustered_hk(request):
     (the first) or needs 20 s (the second)."""
     rng = np.random.default_rng(request.param)
     g = assign_random_weights(generate_hk(HkParams(3000, 6, 1), rng), rng)
-    return g, np.linalg.eigvalsh(laplacian(g))
+    return g, np.linalg.eigvalsh(dense_laplacian(g))
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
 class TestLambda2:
-    @pytest.mark.parametrize("n", [4, 10, 25, 50, DENSE_LIMIT + 100])
+    @pytest.mark.parametrize("n", [4, 10, 11, 12, 25, 50, 550])
     def test_complete_graph(self, n):
         assert lambda2_laplacian(complete_graph(n)) == pytest.approx(n, abs=1e-8)
 
-    @pytest.mark.parametrize("n", [4, 7, 16, 50, DENSE_LIMIT + 100])
+    @pytest.mark.parametrize("n", [4, 7, 11, 12, 16, 50, 550])
     def test_cycle(self, n):
         expected = 2.0 - 2.0 * np.cos(2.0 * np.pi / n)
         assert lambda2_laplacian(cycle_graph(n)) == pytest.approx(expected, abs=1e-8)
@@ -115,28 +100,28 @@ class TestLambda2:
                 assert lam2 < g.n  # the bound is tight only on complete graphs
 
     def test_sparse_path_matches_dense(self):
-        # above the dense cutoff the LOBPCG path must agree with a direct solve
+        # the LOBPCG path must agree with a direct solve
         rng = np.random.default_rng(55)
         g = random_connected_graph(rng, 2100, extra_p=0.002)
         lam2 = lambda2_laplacian(g)
-        dense = np.sort(np.linalg.eigvalsh(laplacian(g)))[1]
+        dense = np.sort(np.linalg.eigvalsh(dense_laplacian(g)))[1]
         assert lam2 == pytest.approx(dense, rel=1e-8, abs=1e-10)
 
     def test_sparse_path_isolated_nodes_give_exact_zero(self):
-        g = generate_ba(BaParams(DENSE_LIMIT + 100, 4), np.random.default_rng(3))
+        g = generate_ba(BaParams(550, 4), np.random.default_rng(3))
         g = Graph(g.n + 5, g.edges, g.weights)  # five isolated nodes
         assert lambda2_laplacian(g) == 0.0
 
     def test_sparse_path_bridged_halves_match_dense(self):
         # one bridge between two BA halves: lambda2 sits far below the bulk
         rng = np.random.default_rng(8)
-        half = DENSE_LIMIT // 2 + 50
+        half = 275
         a = generate_ba(BaParams(half, 4), rng)
         b = generate_ba(BaParams(half, 4), rng)
         edges = np.vstack([a.edges, b.edges + half, [[0, half]]])
         g = assign_random_weights(
             Graph(2 * half, edges, np.ones(len(edges))), rng)
-        vals = np.linalg.eigvalsh(laplacian(g))
+        vals = np.linalg.eigvalsh(dense_laplacian(g))
         assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
 
     @pytest.mark.parametrize("n, seed", [(900, 0), (820, 56)])
@@ -146,7 +131,7 @@ class TestLambda2:
         # product drifts above the tolerance where it reads converged
         w = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, n - 1))
         g = Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))), w)
-        vals = np.linalg.eigvalsh(laplacian(g))
+        vals = np.linalg.eigvalsh(dense_laplacian(g))
         assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
 
     def test_clustered_scale_free_matches_dense(self, clustered_hk):
@@ -173,9 +158,8 @@ class TestLambda2:
 
     def test_sparse_path_drops_p_when_gram_not_positive_definite(
             self, monkeypatch):
-        g = weighted_scale_free("hk", DENSE_LIMIT + 100,
-                                np.random.default_rng(63))
-        vals = np.linalg.eigvalsh(laplacian(g))
+        g = weighted_scale_free("hk", 550, np.random.default_rng(63))
+        vals = np.linalg.eigvalsh(dense_laplacian(g))
         self._cholesky_fails_from(monkeypatch, 6)
         assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-8 * vals[-1]
 
@@ -183,10 +167,10 @@ class TestLambda2:
             self, monkeypatch):
         self._cholesky_fails_from(monkeypatch, 4)
         with pytest.raises(ConvergenceError, match="lost rank"):
-            lambda2_laplacian(cycle_graph(DENSE_LIMIT + 100))
+            lambda2_laplacian(cycle_graph(550))
 
     def test_sparse_path_iteration_cap_raises(self, monkeypatch):
-        n = DENSE_LIMIT + 100
+        n = 550
         monkeypatch.setattr(spectral, "LOBPCG_ITERS_PER_NODE", 5 / n)
         with pytest.raises(ConvergenceError):
             lambda2_laplacian(cycle_graph(n))
@@ -229,10 +213,10 @@ class TestStackedLambda2:
                 for i in range(20)]
 
     def test_stack_matches_lone_bit_for_bit(self, graphs):
-        assert self.N > DENSE_LIMIT
+        assert self.N >= ITERATIVE_MIN_ORDER
         stacked = _blocks(graphs)
         for g, lam2 in zip(graphs, stacked):
-            vals = np.linalg.eigvalsh(laplacian(g))
+            vals = np.linalg.eigvalsh(dense_laplacian(g))
             assert lam2 == lambda2_laplacian(g)
             assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
 
@@ -300,7 +284,7 @@ class TestStackMemory:
     def test_lone_graph_keeps_its_laplacian(self):
         """The one-graph routes solve on the graph's cached Laplacian and
         never cut it."""
-        g = weighted_scale_free("hk", DENSE_LIMIT + 150, np.random.default_rng(91))
+        g = weighted_scale_free("hk", 600, np.random.default_rng(91))
         lap = laplacian_sparse(g)
         before = [a.copy() for a in (lap.data, lap.indices, lap.indptr)]
         lambda2_laplacian(g)
@@ -314,10 +298,11 @@ class TestStackMemory:
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
 class TestLobpcgFloor:
     """``lambda2_blocks`` solves graphs by one stacked LOBPCG run from
-    LOBPCG_MIN_ORDER up, for any number of graphs, and each by dsyevr below
-    it, where the block-2 basis loses rank on small graphs."""
+    ITERATIVE_MIN_ORDER up, for any number of graphs, and each by dsyevr
+    below it, where the block-2 basis loses rank on small graphs; a lone
+    graph takes the same route and gets the same bits."""
 
-    @pytest.mark.parametrize("n", range(2, LOBPCG_MIN_ORDER + 5))
+    @pytest.mark.parametrize("n", range(2, ITERATIVE_MIN_ORDER + 5))
     def test_small_orders_match_eigvalsh(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         links = max(1, min(4, n // 3))
@@ -334,11 +319,14 @@ class TestLobpcgFloor:
         monkeypatch.setattr(spectral.sla, "eigvalsh",
                             lambda *a, **k: dense.append(1) or eigvalsh(*a, **k))
         got = _blocks(graphs)
-        assert bool(dense) == (n < LOBPCG_MIN_ORDER)
+        assert bool(dense) == (n < ITERATIVE_MIN_ORDER)
         for g, lam2 in zip(graphs, got):
             assert isinstance(lam2, float)
-            vals = np.linalg.eigvalsh(laplacian(g))
+            vals = np.linalg.eigvalsh(dense_laplacian(g))
             assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
+        dense.clear()  # alone, each graph takes the route it took stacked
+        assert [lambda2_laplacian(g) for g in graphs] == got
+        assert bool(dense) == (n < ITERATIVE_MIN_ORDER)
 
     def test_zero_basis_row_fails_its_block_below_the_floor(self):
         """Direct stacks at n = 8, below the floor: a block whose basis
@@ -360,16 +348,57 @@ class TestLobpcgFloor:
             assert all(isinstance(v, (float, ConvergenceError)) for v in got)
 
     def test_one_graph_below_dense_limit_is_lobpcg(self, no_dense):
+        """At order 300 one graph is LOBPCG, stacked and alone."""
         g = weighted_scale_free("hk", 300, np.random.default_rng(34))
-        assert 300 <= DENSE_LIMIT
         (lam2,) = _blocks([g])
-        vals = np.linalg.eigvalsh(laplacian(g))
+        vals = np.linalg.eigvalsh(dense_laplacian(g))
         assert abs(lam2 - vals[1]) <= 1e-12 * 2 * g.weighted_degrees().max()
+        assert lambda2_laplacian(g) == lam2
+
+    @pytest.mark.parametrize("n", [12, 13, 100, 300, 450])
+    def test_lone_graph_has_the_stacked_bits(self, n):
+        g = weighted_scale_free("hk", n, np.random.default_rng(n))
+        assert lambda2_laplacian(g) == lambda2_blocks(
+            g.n, [(g.edges, g.weights)])[0]
+
+    @staticmethod
+    def _small_components(n: int, rng: np.random.Generator) -> Graph:
+        """Components of 1-3 nodes, each a random tree plus random chords,
+        with weights exp(U(-3, 3))."""
+        edges, start = [], 0
+        while start < n:
+            size = min(n - start, int(rng.integers(1, 4)))
+            edges += [(start + int(rng.integers(0, v)), start + v)
+                      for v in range(1, size)]
+            edges += [(start + a, start + b)
+                      for a, b in rng.integers(0, size, (size, 2)) if a < b]
+            start += size
+        e = np.unique(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=0)
+        return Graph(n, e, np.exp(rng.uniform(-3.0, 3.0, len(e))))
+
+    @pytest.mark.parametrize("seed, ncomp", [
+        (282, 15), (493, 15), (1, 12), (2, 11), (0, 10)])
+    def test_many_components_match_eigvalsh(self, seed, ncomp, monkeypatch):
+        """n = 22 in many components: the gap is dsyevr while n - ncomp is
+        below ITERATIVE_MIN_ORDER - 1, and LOBPCG from there up.  A floor
+        on n alone sent the first two to LOBPCG, where one reached the
+        iteration cap and the other's basis lost rank."""
+        g = self._small_components(22, np.random.default_rng(seed))
+        lap = laplacian_sparse(g)
+        vals = np.linalg.eigvalsh(lap.toarray())
+        eigvalsh, dense = spectral.sla.eigvalsh, []
+        monkeypatch.setattr(spectral.sla, "eigvalsh",
+                            lambda *a, **k: dense.append(1) or eigvalsh(*a, **k))
+        rate = convergence_rate(JacobianSpec(lap, 1.0, np.zeros(g.n)))
+        assert bool(dense) == (g.n - ncomp < ITERATIVE_MIN_ORDER - 1)
+        assert vals[ncomp - 1] <= 1e-12 * vals[-1] < vals[ncomp]
+        assert abs(rate - vals[ncomp]) <= 1e-12 * vals[-1]
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
 class TestDenseGap:
-    """Up to DENSE_LIMIT the Laplacian gap is one LAPACK eigenvalue."""
+    """The Laplacian gap of one graph at orders up to 450, on both sides of
+    ITERATIVE_MIN_ORDER, against a dense symmetric solve."""
 
     def test_two_components_and_isolated_nodes_match_eigvalsh(self):
         rng = np.random.default_rng(32)
@@ -384,20 +413,32 @@ class TestDenseGap:
         assert vals[4] <= 1e-12 * vals[-1]
         assert lambda2_laplacian(g) == 0.0
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_non_symmetric_laplacian_rejected(self, sparse):
-        lap = laplacian(complete_graph(5))
+    @staticmethod
+    def _rejects_non_symmetric(sparse: bool, n: int) -> None:
+        lap = dense_laplacian(complete_graph(n))
         lap[0, 1] += 1e-6
         lap = sp.csr_matrix(lap) if sparse else lap
         with pytest.raises(NotSymmetricError):
-            convergence_rate(JacobianSpec(lap, 1.0, np.zeros(5)))
+            convergence_rate(JacobianSpec(lap, 1.0, np.zeros(n)))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_symmetric_laplacian_rejected(self, sparse):
+        self._rejects_non_symmetric(sparse, 5)
+
+    @pytest.mark.parametrize("n", [300, 600])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_symmetric_laplacian_rejected_at_iterative_orders(self, sparse,
+                                                                  n):
+        """The symmetry check precedes the gap's route at every order:
+        unchecked, the n = 600 matrix went to LOBPCG and got a value."""
+        self._rejects_non_symmetric(sparse, n)
 
     @pytest.mark.parametrize(
-        "case", [c for c in GROWTH_SWEEP if 1 < c[0] <= DENSE_LIMIT], ids=str)
+        "case", [c for c in GROWTH_SWEEP if 1 < c[0] <= 450], ids=str)
     def test_matches_eigvalsh_on_grown_graphs(self, case):
         rng = np.random.default_rng(case[-1])
         g = assign_random_weights(grow_case(case, rng), rng)
-        vals = np.linalg.eigvalsh(laplacian(g))
+        vals = np.linalg.eigvalsh(dense_laplacian(g))
         assert abs(lambda2_laplacian(g) - vals[1]) <= 1e-12 * vals[-1]
 
 
@@ -413,11 +454,11 @@ class TestJacobian:
     def test_zero_curvature_doubles_laplacian_spectrum(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 12)
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
         spec = JacobianSpec(laplacian=lap, alpha=0.7,
                             hessian_diag=np.zeros(12))
         vals = np.sort(eig_general(build_jacobian(spec)).real)
-        expected = np.sort(np.concatenate([-eig_symmetric(lap)] * 2))
+        expected = np.sort(np.concatenate([-jacobi_eigenvalues(lap)] * 2))
         # defective pairs smear by ~sqrt(backward error); tolerance reflects it
         assert vals == pytest.approx(expected, abs=5e-6)
         assert np.abs(eig_general(build_jacobian(spec)).imag).max() < 5e-6
@@ -425,9 +466,9 @@ class TestJacobian:
     def test_alpha_continuity(self):
         rng = np.random.default_rng(4)
         g = random_connected_graph(rng, 8)
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
         h = rng.uniform(0.5, 2.0, 8)
-        base = np.sort(np.concatenate([-eig_symmetric(lap)] * 2))
+        base = np.sort(np.concatenate([-jacobi_eigenvalues(lap)] * 2))
         for alpha in (1e-4, 1e-6):
             spec = JacobianSpec(laplacian=lap, alpha=alpha, hessian_diag=h)
             vals = np.sort(eig_general(build_jacobian(spec)).real)
@@ -447,7 +488,7 @@ class TestJacobian:
         rng = np.random.default_rng(9)
         for alpha in (1e-4, 1.0):
             g = random_connected_graph(rng, 10)
-            lap = laplacian(g)
+            lap = dense_laplacian(g)
             h = rng.uniform(0.0, 3.0, 10)
             jac = build_jacobian(JacobianSpec(lap, alpha, h))
             null_dir = np.concatenate([np.ones(10), np.zeros(10)])
@@ -458,7 +499,7 @@ class TestJacobian:
         rng = np.random.default_rng(21)
         for _ in range(5):
             g = random_connected_graph(rng, int(rng.integers(4, 16)))
-            lap = laplacian(g)
+            lap = dense_laplacian(g)
             spec = JacobianSpec(lap, 1e-4, np.zeros(g.n))
             vals = eig_general(build_jacobian(spec))
             assert np.abs(vals.real).min() < default_zero_tol(lap)
@@ -470,7 +511,7 @@ class TestConvergenceRate:
         for _ in range(20):
             n = int(rng.integers(4, 30))
             g = random_connected_graph(rng, n)
-            spec = JacobianSpec(laplacian=laplacian(g), alpha=1.0,
+            spec = JacobianSpec(laplacian=dense_laplacian(g), alpha=1.0,
                                 hessian_diag=np.zeros(n))
             assert convergence_rate(spec) == pytest.approx(
                 lambda2_laplacian(g), abs=1e-8)
@@ -479,7 +520,7 @@ class TestConvergenceRate:
         rng = np.random.default_rng(7)
         g = random_connected_graph(rng, 15)
         h = rng.uniform(0.0, 30.0, 15)
-        lap = laplacian(g)
+        lap = dense_laplacian(g)
         rate = convergence_rate(JacobianSpec(lap, 0.01, h))
         perm = rng.permutation(15)
         lap_p = lap[np.ix_(perm, perm)]
@@ -490,7 +531,7 @@ class TestConvergenceRate:
         rng = np.random.default_rng(13)
         g = random_connected_graph(rng, 20)
         h = rng.uniform(0.0, 30.0, 20)
-        rate = convergence_rate(JacobianSpec(laplacian(g), 0.001, h))
+        rate = convergence_rate(JacobianSpec(dense_laplacian(g), 0.001, h))
         assert rate > 0
 
     def test_all_zero_raises(self):
@@ -507,7 +548,7 @@ class TestConvergenceRate:
             convergence_rate(spec, zero_tol=0.0)
 
     def test_default_zero_tol_scales_with_norm(self):
-        lap = laplacian(complete_graph(5))
+        lap = dense_laplacian(complete_graph(5))
         assert default_zero_tol(lap) == pytest.approx(1e-9 * (1 + 8.0))
         assert default_zero_tol(sp.csr_matrix(lap)) == default_zero_tol(lap)
 
@@ -515,15 +556,16 @@ class TestConvergenceRate:
         rng = np.random.default_rng(17)
         g = assign_random_weights(random_connected_graph(rng, 40), rng)
         h = rng.uniform(0.5, 3.0, g.n)
-        dense = convergence_rate(JacobianSpec(laplacian(g), 0.01, h))
-        for lap in (laplacian_sparse(g), sp.csr_array(laplacian(g))):
+        dense = convergence_rate(JacobianSpec(dense_laplacian(g), 0.01, h))
+        for lap in (laplacian_sparse(g), sp.csr_array(dense_laplacian(g))):
             assert convergence_rate(JacobianSpec(lap, 0.01, h)) == dense
 
 
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
 class TestMatrixFreeRate:
-    """Above RATE_DENSE_LIMIT the rate comes from ARPACK on a sparse operator;
-    each case is checked against a dense solve of the whole Jacobian."""
+    """From ITERATIVE_MIN_ORDER up the rate comes from ARPACK on a sparse
+    operator; each case is checked against a dense solve of the whole
+    Jacobian."""
 
     @staticmethod
     def _check(g: Graph, alpha: float, h: np.ndarray) -> float:
@@ -538,10 +580,27 @@ class TestMatrixFreeRate:
     @pytest.mark.parametrize("family", ["quartic", "mlloss"])
     @pytest.mark.parametrize("model", ["ba", "hk"])
     def test_matches_dense_oracle(self, model, family, alpha):
-        n = RATE_DENSE_LIMIT + 50
+        n = 225
         rng = np.random.default_rng([n, len(model), len(family), int(alpha)])
         g = weighted_scale_free(model, n, rng)
         self._check(g, alpha, curvatures_at_optimum(family, n, rng))
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0])
+    @pytest.mark.parametrize("family", ["quartic", "mlloss"])
+    @pytest.mark.parametrize("model", ["ba", "hk"])
+    @pytest.mark.parametrize("n", [ITERATIVE_MIN_ORDER - 1,
+                                   ITERATIVE_MIN_ORDER, 20, 40])
+    def test_floor_orders_match_dense_oracle(self, n, model, family, alpha,
+                                             monkeypatch):
+        """Either side of the floor: dgeev below it, ARPACK with a Krylov
+        basis of at most 2n vectors from it up."""
+        rng = np.random.default_rng([n, len(model), len(family), int(alpha)])
+        g = weighted_scale_free(model, n, rng)
+        eig, dense = spectral.eig_general, []
+        monkeypatch.setattr(spectral, "eig_general",
+                            lambda *a: dense.append(1) or eig(*a))
+        self._check(g, alpha, curvatures_at_optimum(family, n, rng))
+        assert bool(dense) == (n < ITERATIVE_MIN_ORDER)
 
     def test_rewire_shape_slow_mode(self):
         # HK at n = 800, mlloss, alpha = 1e-3: the rate is a slow mode at
@@ -555,7 +614,7 @@ class TestMatrixFreeRate:
 
     def test_two_components(self):
         rng = np.random.default_rng(12)
-        half = RATE_DENSE_LIMIT // 2 + 40
+        half = 127
         a = weighted_scale_free("ba", half, rng)
         b = weighted_scale_free("hk", half, rng)
         g = Graph(2 * half, np.vstack([a.edges, b.edges + half]),
@@ -566,7 +625,7 @@ class TestMatrixFreeRate:
         # each isolated node adds a structural zero; every component's zero
         # is shifted away, so the k rightmost values are never all zeros
         rng = np.random.default_rng(13)
-        g = weighted_scale_free("hk", RATE_DENSE_LIMIT + 20, rng)
+        g = weighted_scale_free("hk", 195, rng)
         g = Graph(g.n + 2 * spectral.ARNOLDI_K, g.edges, g.weights)
         self._check(g, 1.0, rng.uniform(0.5, 3.0, g.n))
 
@@ -574,27 +633,27 @@ class TestMatrixFreeRate:
         # the zero of a component whose curvatures sum to zero is defective;
         # the shift by the component mean of x is defined all the same
         rng = np.random.default_rng(14)
-        g = weighted_scale_free("ba", RATE_DENSE_LIMIT + 50, rng)
+        g = weighted_scale_free("ba", 225, rng)
         h = rng.uniform(-1.0, 1.0, g.n)
         h -= h.mean()
         assert h.any() and abs(h.sum()) <= 1e-12 * np.abs(h).sum()
 
         def no_dense(*args, **kwargs):
-            raise AssertionError("dense solve above RATE_DENSE_LIMIT")
+            raise AssertionError("dense rate solve from the floor up")
 
         monkeypatch.setattr(spectral, "eig_general", no_dense)
         self._check(g, 1e-3, h)
 
     def test_reruns_are_bit_identical(self):
         rng = np.random.default_rng(15)
-        g = weighted_scale_free("hk", RATE_DENSE_LIMIT + 50, rng)
+        g = weighted_scale_free("hk", 225, rng)
         h = curvatures_at_optimum("quartic", g.n, rng)
         rates = {convergence_rate(JacobianSpec(laplacian_sparse(g), 1.0, h))
                  for _ in range(3)}
         assert len(rates) == 1
 
     def test_iteration_cap_raises(self, monkeypatch):
-        n = RATE_DENSE_LIMIT + 50
+        n = 225
         rng = np.random.default_rng(16)
         g = weighted_scale_free("hk", n, rng)
         h = curvatures_at_optimum("mlloss", n, rng)
@@ -624,19 +683,19 @@ def no_dense(monkeypatch):
 @pytest.mark.filterwarnings("error")  # no solver warning may escape
 @pytest.mark.usefixtures("no_dense")
 class TestZeroCurvatureRate:
-    """With all curvatures zero the rate is the Laplacian gap; above
-    DENSE_LIMIT it comes from LOBPCG, never from a dense solve."""
+    """With all curvatures zero the rate is the Laplacian gap; from the
+    floor up it comes from LOBPCG, never from a dense solve."""
 
     def test_connected_equals_lambda2(self):
         rng = np.random.default_rng(30)
-        g = weighted_scale_free("hk", DENSE_LIMIT + 100, rng)
+        g = weighted_scale_free("hk", 550, rng)
         spec = JacobianSpec(laplacian_sparse(g), 1.0, np.zeros(g.n))
         assert convergence_rate(spec) == lambda2_laplacian(g)
 
     def test_two_components_match_eigvalsh(self):
         # three isolated nodes as well: the gap skips every structural zero
         rng = np.random.default_rng(31)
-        half = DENSE_LIMIT // 2 + 50
+        half = 275
         a = weighted_scale_free("ba", half, rng)
         b = weighted_scale_free("hk", half, rng)
         g = Graph(2 * half + 3, np.vstack([a.edges, b.edges + half]),
@@ -658,7 +717,7 @@ class TestZeroCurvatureRate:
                       for v in range(1, size)]
             start += size
         g = Graph(start, np.array(edges), rng.uniform(0.5, 1.5, len(edges)))
-        assert g.n > DENSE_LIMIT
+        assert g.n - 250 >= ITERATIVE_MIN_ORDER - 1
         spec = JacobianSpec(laplacian_sparse(g), 1.0, np.zeros(g.n))
         tracemalloc.start()
         try:
@@ -666,7 +725,7 @@ class TestZeroCurvatureRate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        vals = np.linalg.eigvalsh(laplacian(g))
+        vals = np.linalg.eigvalsh(dense_laplacian(g))
         assert abs(rate - vals[250]) <= 1e-8 * vals[-1]
         assert vals[249] <= 1e-12 * vals[-1]
         assert peak < g.n * 250 * 8 / 4
@@ -688,7 +747,7 @@ class TestSpectralReport:
         rng = np.random.default_rng(3)
         g = {
             "dense": lambda: weighted_scale_free("hk", 200, rng),
-            "sparse": lambda: weighted_scale_free("ba", DENSE_LIMIT + 100, rng),
+            "sparse": lambda: weighted_scale_free("ba", 550, rng),
             "disconnected": lambda: build_graph(
                 [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 0.5)], n=5),
             "single": lambda: build_graph([], n=1),
@@ -716,3 +775,51 @@ class TestSpectralReport:
         assert report.rate == pytest.approx(6.0, abs=1e-8)
         assert report.n == 6
         assert report.alpha == 0.5
+
+
+# Prints the hex bits of lambda2 and of the rate of 150 weighted graphs per
+# order n = 3-11, below ITERATIVE_MIN_ORDER, where they are LAPACK solves.
+_BELOW_FLOOR_BITS = """
+import numpy as np
+from clustopt.generators import BaParams, HkParams, generate_ba, generate_hk
+from clustopt.graphs import Graph, laplacian_sparse
+from clustopt.spectral import JacobianSpec, convergence_rate, lambda2_laplacian
+from helpers import curvatures_at_optimum
+
+for n in range(3, 12):
+    rng = np.random.default_rng(n)
+    links = max(1, min(4, n // 3))
+    path = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+    for i in range(150):  # weighted BA, HK and paths, in turn
+        edges = [generate_ba(BaParams(n, links), rng).edges,
+                 generate_hk(HkParams(n, links, min(1, links - 1)),
+                             rng).edges, path][i % 3]
+        w = (rng.uniform(0.5, 1.5, len(edges)) if i % 2
+             else np.exp(rng.uniform(-3.0, 3.0, len(edges))))
+        g = Graph(n, edges, w)
+        h = curvatures_at_optimum(("quartic", "mlloss")[i % 2], n, rng)
+        rate = convergence_rate(JacobianSpec(laplacian_sparse(g),
+                                             (1e-3, 1.0)[i // 2 % 2], h))
+        print(n, i, lambda2_laplacian(g).hex(), rate.hex())
+"""
+
+
+@pytest.mark.slow
+def test_below_floor_bits_do_not_depend_on_blas_threads():
+    """Below ITERATIVE_MIN_ORDER lambda2 is one dsyevr eigenvalue and the
+    rate the dgeev spectrum of the dense Jacobian.  LAPACK does not promise
+    bits that are free of the BLAS thread count, so 1,350 graphs at n = 3-11
+    check that they are, on 1 and on 2 OpenBLAS threads."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, tests, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _BELOW_FLOOR_BITS],
+                              env=env, check=True, capture_output=True,
+                              text=True)
+        outputs.append(done.stdout.splitlines())
+    assert len(outputs[0]) == 9 * 150
+    assert outputs[0] == outputs[1]
