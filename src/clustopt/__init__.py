@@ -54,9 +54,7 @@ from .montecarlo import (
 from .spectral import (
     JacobianSpec,
     SpectralReport,
-    build_jacobian,
     convergence_rate,
-    eig_general,
     lambda2_laplacian,
     spectral_report,
 )

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import graph_io
-from .costs import optimum_curvatures, sample_cost
+from .costs import COST_FAMILIES, optimum_curvatures, sample_cost
 from .dynamics import SimConfig, run
 from .errors import ClustoptError, DisconnectedError
 from .generators import BaParams, HkParams, RewireParams, generate_ba, generate_hk, \
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="connectivity and rate measure")
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--cost", choices=("quartic", "mlloss"))
+    p.add_argument("--cost", choices=tuple(COST_FAMILIES))
     p.add_argument("--cost-seed", type=int, default=0)
     p.add_argument("--weights", choices=("unit", "random"), default="unit")
     p.add_argument("--wlow", type=float, default=0.5)
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="run the gradient-tracking dynamics")
     p.add_argument("--in", required=True, dest="infile")
-    p.add_argument("--cost", choices=("quartic", "mlloss"), required=True)
+    p.add_argument("--cost", choices=tuple(COST_FAMILIES), required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--h", type=float)
     p.add_argument("--steps", type=int, required=True)

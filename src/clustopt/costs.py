@@ -197,11 +197,17 @@ def optimum_curvatures(model: CostModel) -> np.ndarray:
     return model.hessian_nodes(np.full(model.n, aggregate_optimum(model).x_star))
 
 
+# The cost families by name, in the order the command line offers them: each
+# samples a model of n nodes, mlloss with m data points per node.
+COST_FAMILIES = {
+    "quartic": lambda n, rng, m: sample_quartic(n, rng),
+    "mlloss": lambda n, rng, m: sample_mlloss(n, m, rng),
+}
+
+
 def sample_cost(family: str, n: int, rng: np.random.Generator,
                 m: int = 20) -> CostModel:
-    """Sampler dispatch used by campaign configs."""
-    if family == "mlloss":
-        return sample_mlloss(n, m, rng)
-    if family == "quartic":
-        return sample_quartic(n, rng)
-    raise InvalidParamsError(f"unknown cost family {family!r}")
+    """Sampler dispatch used by campaign configs and the command line."""
+    if family not in COST_FAMILIES:
+        raise InvalidParamsError(f"unknown cost family {family!r}")
+    return COST_FAMILIES[family](n, rng, m)

@@ -53,10 +53,11 @@ class SimConfig:
     x_init_range: tuple[float, float] = (-5.0, 5.0)
 
     def validate(self) -> None:
-        if not self.alpha > 0:
-            raise InvalidParamsError(f"alpha must be > 0, got {self.alpha}")
-        if self.h is not None and not self.h > 0:
-            raise InvalidParamsError(f"h must be > 0, got {self.h}")
+        if not (_is_real(self.alpha) and self.alpha > 0):
+            raise InvalidParamsError(
+                f"alpha must be a finite number > 0, got {self.alpha}")
+        if self.h is not None and not (_is_real(self.h) and self.h > 0):
+            raise InvalidParamsError(f"h must be a finite number > 0, got {self.h}")
         _check_int("steps", self.steps, 0)
         _check_int("record_stride", self.record_stride, 1)
         if self.gap_tolerance < 0:

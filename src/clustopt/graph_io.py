@@ -29,7 +29,6 @@ import numpy as np
 
 from .dynamics import SimConfig, TrialTrace
 from .errors import (
-    DuplicateEdgeError,
     EmptyGraphError,
     GraphParseError,
     IndexOutOfRangeError,
@@ -109,8 +108,6 @@ def read_graph(path: str) -> Graph:
 
 @dataclass(frozen=True)
 class IngestOptions:
-    drop_self_loops: bool = True
-    merge_duplicate_edges: bool = True
     largest_component_only: bool = True
     use_weights: bool = False
 
@@ -120,7 +117,8 @@ def parse_edge_list(text: str, opts: IngestOptions = IngestOptions()) -> Graph:
 
     Direction and timestamps are ignored; the weight column is used only
     when ``opts.use_weights`` is set, otherwise every edge gets weight 1.
-    Duplicate pairs collapse to their first occurrence when merging is on.
+    Self-loops are dropped, and duplicate pairs collapse to their first
+    occurrence.
     """
     ids: dict[int, int] = {}
     edge_weight: dict[tuple[int, int], float] = {}  # in order of first appearance
@@ -142,20 +140,12 @@ def parse_edge_list(text: str, opts: IngestOptions = IngestOptions()) -> Graph:
             except ValueError:
                 raise MalformedLineError(lineno, raw, "non-numeric weight")
         if u == v:
-            if opts.drop_self_loops:
-                continue
-            raise MalformedLineError(lineno, raw, "self-loop")
+            continue
         for node in (u, v):
             if node not in ids:
                 ids[node] = len(ids)
         a, b = ids[u], ids[v]
-        key = (a, b) if a < b else (b, a)
-        if key in edge_weight:
-            if not opts.merge_duplicate_edges:
-                raise DuplicateEdgeError(
-                    f"line {lineno}: duplicate edge {u} {v}")
-            continue
-        edge_weight[key] = w
+        edge_weight.setdefault((a, b) if a < b else (b, a), w)
 
     if not ids:
         raise EmptyGraphError("no nodes found in edge list")

@@ -31,8 +31,8 @@ from typing import ClassVar, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .costs import CostModel, OptimumCertificate, aggregate_optimum, \
-    optimum_curvatures, sample_cost
+from .costs import COST_FAMILIES, CostModel, OptimumCertificate, \
+    aggregate_optimum, optimum_curvatures, sample_cost
 from .dynamics import NodeState, SimConfig, TrialTrace, initialize, run_trials, \
     stability_max_step
 from .errors import ClustoptError, DivergenceError, GraphParseError, IndexOutOfRangeError, \
@@ -97,9 +97,10 @@ class CostSpec:
     m: int = 20
 
     def validate(self) -> None:
-        if self.family not in ("mlloss", "quartic"):
+        if self.family not in COST_FAMILIES:
             raise InvalidParamsError(
-                f"cost_spec.family must be mlloss or quartic, got {self.family!r}")
+                f"cost_spec.family must be {' or '.join(sorted(COST_FAMILIES))}, "
+                f"got {self.family!r}")
         _check_int("cost_spec.m", self.m, 1)
 
 

@@ -24,10 +24,12 @@ Both measures set the structural zeros aside by the connected components:
 the algebraic connectivity is the smallest Laplacian eigenvalue orthogonal
 to the component indicators, and the rate is read off a Jacobian whose
 structural zeros a rank-one shift per component has moved far left (see
-:func:`convergence_rate`).  Each has one route from ``ITERATIVE_MIN_ORDER``
-up, whose bits do not depend on the BLAS thread count: the Laplacian gap is
-this module's own block LOBPCG (:func:`_lobpcg`), and the rate ARPACK on a
-matrix-free operator.  Below that floor each is one dense LAPACK solve.
+:func:`convergence_rate`).  That shifted Jacobian is defined once, as a
+matrix-free operator (:func:`_shifted_jacobian`).  Each measure has one
+route from ``ITERATIVE_MIN_ORDER`` up, whose bits do not depend on the BLAS
+thread count: the Laplacian gap is this module's own block LOBPCG
+(:func:`_lobpcg`), and the rate ARPACK on that operator.  Below that floor
+each is one dense LAPACK solve: the rate's is of the same operator's matrix.
 :func:`lambda2_blocks` solves many graphs of one order by :func:`_lobpcg`
 in one run on their union Laplacian from :mod:`clustopt.graphs`, each with
 the bits it has alone; it builds that union itself, so every block that
@@ -53,8 +55,8 @@ from .errors import (
     NotSymmetricError,
     SizeLimitError,
 )
-from .graphs import DEFAULT_SIZE_CAP, Graph, _components, laplacian_blocks, \
-    laplacian_sparse, union_laplacian
+from .graphs import DEFAULT_SIZE_CAP, Graph, _components, _is_real, \
+    laplacian_blocks, laplacian_sparse, union_laplacian
 
 # Order from which both quantities are iterative: the Laplacian gap is a
 # _lobpcg solve once the dimension off the component indicators, n - ncomp,
@@ -102,8 +104,7 @@ class SpectralReport:
 class JacobianSpec:
     """Inputs of the linearized dynamics: Laplacian, rate, curvatures.
 
-    The Laplacian is a dense array or a scipy sparse matrix; a sparse one
-    is kept as CSR.
+    The Laplacian is a dense array or a scipy sparse matrix, kept as CSR.
     """
 
     laplacian: np.ndarray | sp.spmatrix
@@ -111,38 +112,27 @@ class JacobianSpec:
     hessian_diag: np.ndarray
 
     def __post_init__(self):
-        lap = (sp.csr_matrix(self.laplacian, dtype=np.float64)
-               if sp.issparse(self.laplacian)
-               else np.asarray(self.laplacian, dtype=np.float64))
+        shape = np.shape(self.laplacian)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionMismatchError(f"laplacian must be square, got {shape}")
+        lap = sp.csr_matrix(self.laplacian, dtype=np.float64)
         h = np.asarray(self.hessian_diag, dtype=np.float64).reshape(-1)
-        if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-            raise DimensionMismatchError(f"laplacian must be square, got {lap.shape}")
         if h.shape[0] != lap.shape[0]:
             raise DimensionMismatchError(
                 f"hessian_diag length {h.shape[0]} vs laplacian order {lap.shape[0]}")
-        if not self.alpha > 0:
-            raise InvalidParamsError(f"alpha must be > 0, got {self.alpha}")
+        if not (_is_real(self.alpha) and self.alpha > 0):
+            raise InvalidParamsError(
+                f"alpha must be a finite number > 0, got {self.alpha}")
+        if not np.isfinite(h).all():
+            raise InvalidParamsError("hessian_diag must be finite")
         object.__setattr__(self, "laplacian", lap)
         object.__setattr__(self, "hessian_diag", h)
 
 
-def _check_symmetric(m: np.ndarray | sp.spmatrix) -> None:
-    """Dense or sparse, symmetric within 1e-12 of its largest entry."""
+def _check_symmetric(m: sp.csr_matrix) -> None:
+    """Symmetric within 1e-12 of its largest entry."""
     if m.shape[0] and abs(m - m.T).max() > 1e-12 * max(1.0, abs(m).max()):
         raise NotSymmetricError("matrix is not symmetric within 1e-12")
-
-
-def eig_general(m: np.ndarray, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
-    """All eigenvalues of a general square matrix (LAPACK Hessenberg + QR)."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {m.shape}")
-    if m.shape[0] > size_cap:
-        raise SizeLimitError(f"order {m.shape[0]} exceeds cap {size_cap}")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
 
 
 def lambda2_laplacian(g: Graph) -> float:
@@ -372,27 +362,13 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate(c), np.concatenate(ok)
 
 
-def build_jacobian(spec: JacobianSpec) -> np.ndarray:
-    """Dense 2n x 2n Jacobian of the linearized dynamics."""
-    lap = spec.laplacian
-    lap = lap.toarray() if sp.issparse(lap) else lap
-    n = lap.shape[0]
-    h = spec.hessian_diag
-    jac = np.zeros((2 * n, 2 * n))
-    jac[:n, :n] = -lap
-    jac[:n, n:] = -spec.alpha * np.eye(n)
-    jac[n:, :n] = -h[:, None] * lap
-    jac[n:, n:] = -lap - spec.alpha * np.diag(h)
-    return jac
-
-
 def default_zero_tol(lap: np.ndarray | sp.spmatrix) -> float:
     """Threshold separating structural zeros from slow modes."""
     norm_inf = float(abs(lap).sum(axis=1).max()) if lap.size else 0.0
     return 1e-9 * (1.0 + norm_inf)
 
 
-def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float:
+def convergence_rate(spec: JacobianSpec) -> float:
     """Negated largest real part of the non-structural Jacobian spectrum.
 
     Each connected component c gives the Jacobian J an exact null vector
@@ -402,19 +378,22 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
     (Brauer 1952; Saad, Numerical Methods for Large Eigenvalue Problems,
     section 4.2).  ``sigma`` lies left of the infinity-norm bound on the
     spectrum; the shift adds ``sigma`` times the component mean of x to x.
-    Eigenvalues with |Re| below ``zero_tol`` are still discarded as
-    structural: where a component's curvatures sum to zero its zero is
-    defective, and the shift moves one of the pair.  One solver per order:
+    Eigenvalues with |Re| below :func:`default_zero_tol` are still
+    discarded as structural: where a component's curvatures sum to zero its
+    zero is defective, and the shift moves one of the pair.  The shifted
+    Jacobian is one matrix-free operator, :func:`_shifted_jacobian`, two
+    sparse Laplacian products per application, and one solver per order
+    runs on it:
 
-    * From order ``ITERATIVE_MIN_ORDER`` up, matrix-free: ARPACK (Lehoucq,
-      Sorensen & Yang, ARPACK Users' Guide, SIAM, 1998) finds the
-      ``ARNOLDI_K`` eigenvalues of largest real part of the shifted
-      operator, two sparse Laplacian products per application, with a
-      Krylov basis of ``min(ARNOLDI_NCV, 2n)`` vectors and a start vector
-      of a fixed seed, so reruns give the same bits.  ``ConvergenceError``
-      is raised when ARPACK has not converged after
-      ``ARNOLDI_RESTARTS_PER_NODE * n`` restarts.
-    * Below it: every eigenvalue of the dense shifted Jacobian (LAPACK).
+    * From order ``ITERATIVE_MIN_ORDER`` up: ARPACK (Lehoucq, Sorensen &
+      Yang, ARPACK Users' Guide, SIAM, 1998) finds the ``ARNOLDI_K``
+      eigenvalues of largest real part, with a Krylov basis of
+      ``min(ARNOLDI_NCV, 2n)`` vectors and a start vector of a fixed seed,
+      so reruns give the same bits.  ``ConvergenceError`` is raised when
+      ARPACK has not converged after ``ARNOLDI_RESTARTS_PER_NODE * n``
+      restarts.
+    * Below it: every eigenvalue of the same operator's matrix, the
+      operator applied to the 2n x 2n identity (LAPACK ``dgeev``).
 
     At alpha = 1e-3 the rate equals alpha times the mean curvature to about
     7 digits, a slow mode far right of the Laplacian bulk (on an HK graph
@@ -424,58 +403,49 @@ def convergence_rate(spec: JacobianSpec, zero_tol: float | None = None) -> float
     With all curvatures zero the spectrum is that of the negated Laplacian
     doubled, and the rate is the Laplacian gap that :func:`lambda2_laplacian`
     computes, without clamping; its structural zeros are the component
-    indicators, so ``zero_tol`` plays no part.  A matrix given here is the
-    one way a Laplacian this package did not build reaches that gap, so it
-    is checked first: ``NotSymmetricError`` unless it is symmetric within
+    indicators, so the zero tolerance plays no part.  A matrix given here is
+    the one way a Laplacian this package did not build reaches that gap, so
+    it is checked first: ``NotSymmetricError`` unless it is symmetric within
     1e-12 of its largest entry.  Otherwise ``SizeLimitError``
     is raised, before any allocation, when the Jacobian order ``2n`` exceeds
     ``DEFAULT_SIZE_CAP``.
     """
     lap = spec.laplacian
-    if zero_tol is None:
-        zero_tol = default_zero_tol(lap)
-    if not zero_tol > 0:
-        raise InvalidParamsError(f"zero_tol must be > 0, got {zero_tol}")
-
-    h = spec.hessian_diag
-    if not h.any():
+    if not spec.hessian_diag.any():
         _check_symmetric(lap)
-        return _laplacian_gap(sp.csr_matrix(lap))[0]
+        return _laplacian_gap(lap)[0]
 
     n = lap.shape[0]
     if 2 * n > DEFAULT_SIZE_CAP:
         raise SizeLimitError(
             f"Jacobian order {2 * n} exceeds cap {DEFAULT_SIZE_CAP}")
-    labels, shift = _consensus_shift(lap, spec.alpha, h)
+    jac = _shifted_jacobian(spec)
     if n < ITERATIVE_MIN_ORDER:
-        jac = build_jacobian(spec)
-        jac[:n, :n] += (labels[:, None] == labels) * shift[labels]
-        vals = eig_general(jac)
+        try:
+            vals = np.linalg.eigvals(jac @ np.eye(2 * n))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(str(exc)) from exc
     else:
-        vals = _rightmost_arnoldi(sp.csr_matrix(lap), spec.alpha, h,
-                                  labels, shift)
-    keep = vals[np.abs(vals.real) >= zero_tol]
+        vals = _rightmost_arnoldi(jac)
+    keep = vals[np.abs(vals.real) >= default_zero_tol(lap)]
     if keep.size == 0:
         raise AllZeroError("all Jacobian eigenvalues are structurally zero")
     return float(-keep.real.max())
 
 
-def _consensus_shift(lap: np.ndarray | sp.spmatrix, alpha: float,
-                     h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component labels, and ``sigma / |c|``, which the shift adds to every
-    x-x entry of J within component c."""
+def _shifted_jacobian(spec: JacobianSpec) -> spla.LinearOperator:
+    """The Jacobian of ``spec`` with the consensus shift, matrix-free.
+
+    ``sigma`` lies below -||J||_inf, a row-sum bound, so left of every
+    eigenvalue of J; within each component c the shift adds ``sigma / |c|``
+    times the sum of x over c to every x entry of c.
+    """
+    lap, alpha, h = spec.laplacian, spec.alpha, spec.hessian_diag
+    n = lap.shape[0]
     ncomp, labels = connected_components(lap, directed=False)
-    # below -||J||_inf (a row-sum bound), so left of every eigenvalue of J
     sigma = -1.0 - (2.0 * float(lap.diagonal().max()) + alpha) * (
         1.0 + float(np.abs(h).max()))
-    return labels, sigma / np.bincount(labels, minlength=ncomp)
-
-
-def _rightmost_arnoldi(lap: sp.csr_matrix, alpha: float, h: np.ndarray,
-                       labels: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Rightmost eigenvalues of the shifted Jacobian, matrix-free."""
-    n = lap.shape[0]
-    ncomp = shift.shape[0]
+    shift = sigma / np.bincount(labels, minlength=ncomp)
     ah = alpha * h
 
     def matvec(z: np.ndarray) -> np.ndarray:
@@ -485,10 +455,15 @@ def _rightmost_arnoldi(lap: sp.csr_matrix, alpha: float, h: np.ndarray,
         return np.concatenate((-lx - alpha * y + (shift * xsum)[labels],
                                -h * lx - lap @ y - ah * y))
 
-    op = spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=np.float64)
+    return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=np.float64)
+
+
+def _rightmost_arnoldi(jac: spla.LinearOperator) -> np.ndarray:
+    """The ``ARNOLDI_K`` rightmost eigenvalues of an operator of order 2n."""
+    n = jac.shape[0] // 2
     v0 = np.random.default_rng(0).standard_normal(2 * n)
     try:
-        return spla.eigs(op, k=ARNOLDI_K, which="LR", tol=ARNOLDI_TOL, v0=v0,
+        return spla.eigs(jac, k=ARNOLDI_K, which="LR", tol=ARNOLDI_TOL, v0=v0,
                          ncv=min(ARNOLDI_NCV, 2 * n),
                          maxiter=math.ceil(ARNOLDI_RESTARTS_PER_NODE * n),
                          return_eigenvectors=False)

@@ -175,6 +175,21 @@ def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 100,
     return np.sort(np.diag(a))
 
 
+def dense_jacobian(lap: np.ndarray, alpha: float, h: np.ndarray) -> np.ndarray:
+    """Dense 2n x 2n Jacobian of the linearized dynamics, in (x, y) order.
+
+    The y rows scale by the curvatures as the rate's operator does, so a
+    negative curvature gives the zeros of its row the operator's signs.
+    """
+    n = lap.shape[0]
+    jac = np.zeros((2 * n, 2 * n))
+    jac[:n, :n] = -lap
+    jac[:n, n:] = -alpha * np.eye(n)
+    jac[n:, :n] = -h[:, None] * lap
+    jac[n:, n:] = -lap - alpha * h[:, None] * np.eye(n)
+    return jac
+
+
 def dense_jacobian_rate(lap: np.ndarray, alpha: float, h: np.ndarray,
                         zero_tol: float) -> float:
     """Rate measure from a dense eigensolve of the deflated 2n x 2n Jacobian.
@@ -189,8 +204,7 @@ def dense_jacobian_rate(lap: np.ndarray, alpha: float, h: np.ndarray,
     structural.
     """
     n = lap.shape[0]
-    jac = np.block([[-lap, -alpha * np.eye(n)],
-                    [-h[:, None] * lap, -lap - alpha * np.diag(h)]])
+    jac = dense_jacobian(lap, alpha, h)
     _, labels = connected_components(sp.csr_matrix(lap), directed=False)
     firsts = np.unique(labels, return_index=True)[1]
     for k in firsts:

@@ -3,16 +3,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clustopt.cli import _build_parser
 from clustopt.costs import (
     BISECTION,
     CLOSED_FORM,
+    COST_FAMILIES,
     MlLossModel,
     QuarticModel,
     aggregate_optimum,
+    sample_cost,
     sample_mlloss,
     sample_quartic,
 )
 from clustopt.errors import IndexOutOfRangeError, InvalidParamsError
+from clustopt.montecarlo import CostSpec
 from helpers import (
     aggregate_hessian,
     central_difference,
@@ -188,3 +192,34 @@ class TestSerialization:
     def test_unknown_family_rejected(self):
         with pytest.raises(InvalidParamsError):
             model_from_dict({"family": "cubic", "a": [1], "b": [2]})
+
+
+class TestFamilyTable:
+    """One table names the cost families: the sampler dispatches on it, and
+    the campaign config and both ``--cost`` options read it."""
+
+    def test_sampler_dispatches_on_the_table(self):
+        assert tuple(COST_FAMILIES) == ("quartic", "mlloss")
+        for got, want in [
+                (sample_cost("quartic", 5, np.random.default_rng(1)),
+                 sample_quartic(5, np.random.default_rng(1))),
+                (sample_cost("mlloss", 5, np.random.default_rng(1), m=3),
+                 sample_mlloss(5, 3, np.random.default_rng(1)))]:
+            assert type(got) is type(want)
+            assert np.array_equal(got.a, want.a)
+            assert np.array_equal(got.b, want.b)
+        with pytest.raises(InvalidParamsError, match="unknown cost family 'cubic'"):
+            sample_cost("cubic", 5, np.random.default_rng(1))
+
+    def test_config_and_command_line_read_the_table(self):
+        with pytest.raises(InvalidParamsError,
+                           match="cost_spec.family must be mlloss or quartic, "
+                                 "got 'cubic'"):
+            CostSpec(family="cubic").validate()
+        for name in COST_FAMILIES:
+            CostSpec(family=name).validate()
+        sub = next(a for a in _build_parser()._actions if a.choices
+                   and "spectral" in a.choices).choices
+        for command in ("spectral", "optimize"):
+            (cost,) = [a for a in sub[command]._actions if a.dest == "cost"]
+            assert tuple(cost.choices) == tuple(COST_FAMILIES)

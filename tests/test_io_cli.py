@@ -11,7 +11,6 @@ import clustopt
 from clustopt.cli import main
 from clustopt.dynamics import SimConfig, run
 from clustopt.errors import (
-    DuplicateEdgeError,
     EmptyGraphError,
     GraphParseError,
     MalformedLineError,
@@ -79,21 +78,11 @@ class TestEdgeListIngestion:
         assert g.n == 2
         assert g.edge_count == 1
 
-    def test_self_loop_rejected_when_kept(self):
-        with pytest.raises(MalformedLineError):
-            parse_edge_list("1 1\n1 2\n",
-                            IngestOptions(drop_self_loops=False))
-
     def test_duplicates_merge_to_first(self):
         g = parse_edge_list("1 2 5.0\n2 1 9.0\n",
                             IngestOptions(use_weights=True))
         assert g.edge_count == 1
         assert g.weights.tolist() == [5.0]
-
-    def test_duplicates_rejected_when_merging_off(self):
-        with pytest.raises(DuplicateEdgeError):
-            parse_edge_list("1 2\n2 1\n",
-                            IngestOptions(merge_duplicate_edges=False))
 
     def test_weight_and_timestamp_columns(self):
         g = parse_edge_list("1 2 2.5 1234567\n2 3 0.5 1234568\n",
@@ -411,6 +400,34 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         if command[0] == "mc":  # one fault, one code, under either setting
             assert lines[0].startswith("error: invalid-params: ")
+
+    @pytest.mark.parametrize("command, named", [
+        (["optimize", "--in", "{g}", "--cost", "quartic", "--alpha", "inf",
+          "--h", "0.01", "--steps", "5", "--out", "{d}/trace.csv"], "alpha"),
+        (["optimize", "--in", "{g}", "--cost", "quartic", "--alpha", "1",
+          "--h", "inf", "--steps", "5", "--out", "{d}/trace.csv"], "h"),
+        (["spectral", "--in", "{g}", "--alpha", "inf", "--cost", "quartic"],
+         "alpha"),
+        (["scatter", "--inputs", "{g}", "--alpha", "inf", "--out", "{d}/s.csv"],
+         "alpha"),
+    ], ids=["optimize-alpha-inf", "optimize-h-inf", "spectral-alpha-inf",
+            "scatter-alpha-inf"])
+    def test_non_finite_parameter_exits_1(self, tmp_path, capsys, command,
+                                          named):
+        """A non-finite alpha or h is refused with one error line naming
+        it, and nothing is written: unchecked, optimize wrote Infinity,
+        which is not JSON, into the trace sidecar, and the rate met NaN
+        entries in ARPACK."""
+        g = tmp_path / "g.json"
+        write_graph(complete_graph(2 * ITERATIVE_MIN_ORDER), str(g))
+        args = [a.format(g=g, d=tmp_path) for a in command]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: invalid-params: {named} must be ")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
     @pytest.mark.parametrize("n, edges, named", [
         ("3.9", "[[0, 1, 1.0]]", "n=3.9"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from clustopt import spectral
 from clustopt.errors import (
@@ -29,10 +30,8 @@ from clustopt.graphs import (
 from clustopt.spectral import (
     ITERATIVE_MIN_ORDER,
     JacobianSpec,
-    build_jacobian,
     convergence_rate,
     default_zero_tol,
-    eig_general,
     lambda2_blocks,
     lambda2_laplacian,
     spectral_report,
@@ -42,6 +41,7 @@ from helpers import (
     complete_graph,
     curvatures_at_optimum,
     cycle_graph,
+    dense_jacobian,
     dense_jacobian_rate,
     dense_laplacian,
     grow_case,
@@ -49,17 +49,6 @@ from helpers import (
     random_connected_graph,
     weighted_scale_free,
 )
-
-
-class TestEigSolvers:
-    def test_rotation_generator(self):
-        vals = eig_general(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert sorted(vals.imag.tolist()) == pytest.approx([-1.0, 1.0], abs=1e-12)
-        assert vals.real == pytest.approx([0.0, 0.0], abs=1e-12)
-
-    def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            eig_general(np.eye(5), size_cap=4)
 
 
 @pytest.fixture(scope="module", params=[
@@ -443,25 +432,24 @@ class TestDenseGap:
 
 
 class TestJacobian:
+    """The dense Jacobian of ``tests/helpers.py``, the rate's oracle, and
+    the checks of :class:`JacobianSpec`."""
+
     def test_single_node(self):
-        spec = JacobianSpec(laplacian=np.zeros((1, 1)), alpha=0.5,
-                            hessian_diag=np.array([2.0]))
-        jac = build_jacobian(spec)
+        jac = dense_jacobian(np.zeros((1, 1)), 0.5, np.array([2.0]))
         assert jac.tolist() == [[0.0, -0.5], [0.0, -1.0]]
-        vals = np.sort(eig_general(jac).real)
+        vals = np.sort(np.linalg.eigvals(jac).real)
         assert vals == pytest.approx([-1.0, 0.0], abs=1e-14)
 
     def test_zero_curvature_doubles_laplacian_spectrum(self):
         rng = np.random.default_rng(3)
         g = random_connected_graph(rng, 12)
         lap = dense_laplacian(g)
-        spec = JacobianSpec(laplacian=lap, alpha=0.7,
-                            hessian_diag=np.zeros(12))
-        vals = np.sort(eig_general(build_jacobian(spec)).real)
+        vals = np.linalg.eigvals(dense_jacobian(lap, 0.7, np.zeros(12)))
         expected = np.sort(np.concatenate([-jacobi_eigenvalues(lap)] * 2))
         # defective pairs smear by ~sqrt(backward error); tolerance reflects it
-        assert vals == pytest.approx(expected, abs=5e-6)
-        assert np.abs(eig_general(build_jacobian(spec)).imag).max() < 5e-6
+        assert np.sort(vals.real) == pytest.approx(expected, abs=5e-6)
+        assert np.abs(vals.imag).max() < 5e-6
 
     def test_alpha_continuity(self):
         rng = np.random.default_rng(4)
@@ -470,8 +458,7 @@ class TestJacobian:
         h = rng.uniform(0.5, 2.0, 8)
         base = np.sort(np.concatenate([-jacobi_eigenvalues(lap)] * 2))
         for alpha in (1e-4, 1e-6):
-            spec = JacobianSpec(laplacian=lap, alpha=alpha, hessian_diag=h)
-            vals = np.sort(eig_general(build_jacobian(spec)).real)
+            vals = np.sort(np.linalg.eigvals(dense_jacobian(lap, alpha, h)).real)
             assert np.abs(vals - base).max() < 50 * np.sqrt(alpha)
 
     def test_dimension_mismatch(self):
@@ -484,13 +471,38 @@ class TestJacobian:
             JacobianSpec(laplacian=np.zeros((2, 2)), alpha=0.0,
                          hessian_diag=np.zeros(2))
 
+    @pytest.mark.parametrize("alpha, h, named", [
+        (np.inf, 1.0, "alpha"), (np.nan, 1.0, "alpha"), (True, 1.0, "alpha"),
+        (1.0, np.inf, "hessian_diag"), (1.0, np.nan, "hessian_diag"),
+    ], ids=["alpha-inf", "alpha-nan", "alpha-bool", "h-inf", "h-nan"])
+    def test_non_finite_inputs_rejected(self, alpha, h, named):
+        """A non-finite alpha or curvature would reach the solver as NaN
+        entries; it is refused up front, and the error names the field."""
+        with pytest.raises(InvalidParamsError, match=named):
+            JacobianSpec(laplacian=np.eye(3) - 1.0 / 3.0, alpha=alpha,
+                         hessian_diag=np.array([1.0, h, 1.0]))
+
+    @pytest.mark.parametrize("lap", [np.zeros(3), np.zeros((2, 3)),
+                                     np.zeros((2, 2, 2)),
+                                     sp.csr_matrix((2, 3))],
+                             ids=["1-d", "2x3", "3-d", "sparse-2x3"])
+    def test_laplacian_must_be_square(self, lap):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            JacobianSpec(laplacian=lap, alpha=1.0, hessian_diag=np.zeros(2))
+
+    def test_laplacian_kept_as_csr(self):
+        for lap in (np.eye(2), sp.csr_array(np.eye(2)), sp.coo_matrix(np.eye(2))):
+            spec = JacobianSpec(laplacian=lap, alpha=1.0, hessian_diag=np.zeros(2))
+            assert isinstance(spec.laplacian, sp.csr_matrix)
+            assert spec.laplacian.dtype == np.float64
+
     def test_consensus_direction_is_structural_zero(self):
         rng = np.random.default_rng(9)
         for alpha in (1e-4, 1.0):
             g = random_connected_graph(rng, 10)
             lap = dense_laplacian(g)
             h = rng.uniform(0.0, 3.0, 10)
-            jac = build_jacobian(JacobianSpec(lap, alpha, h))
+            jac = dense_jacobian(lap, alpha, h)
             null_dir = np.concatenate([np.ones(10), np.zeros(10)])
             assert np.abs(jac @ null_dir).max() <= 1e-12 * (1 + np.abs(jac).max())
 
@@ -500,8 +512,7 @@ class TestJacobian:
         for _ in range(5):
             g = random_connected_graph(rng, int(rng.integers(4, 16)))
             lap = dense_laplacian(g)
-            spec = JacobianSpec(lap, 1e-4, np.zeros(g.n))
-            vals = eig_general(build_jacobian(spec))
+            vals = np.linalg.eigvals(dense_jacobian(lap, 1e-4, np.zeros(g.n)))
             assert np.abs(vals.real).min() < default_zero_tol(lap)
 
 
@@ -540,12 +551,6 @@ class TestConvergenceRate:
                             hessian_diag=np.zeros(1))
         with pytest.raises(AllZeroError):
             convergence_rate(spec)
-
-    def test_zero_tol_validation(self):
-        spec = JacobianSpec(laplacian=np.eye(2) - 0.5, alpha=1.0,
-                            hessian_diag=np.zeros(2))
-        with pytest.raises(InvalidParamsError):
-            convergence_rate(spec, zero_tol=0.0)
 
     def test_default_zero_tol_scales_with_norm(self):
         lap = dense_laplacian(complete_graph(5))
@@ -596,11 +601,11 @@ class TestMatrixFreeRate:
         basis of at most 2n vectors from it up."""
         rng = np.random.default_rng([n, len(model), len(family), int(alpha)])
         g = weighted_scale_free(model, n, rng)
-        eig, dense = spectral.eig_general, []
-        monkeypatch.setattr(spectral, "eig_general",
-                            lambda *a: dense.append(1) or eig(*a))
+        arnoldi, arpack = spectral._rightmost_arnoldi, []
+        monkeypatch.setattr(spectral, "_rightmost_arnoldi",
+                            lambda *a: arpack.append(1) or arnoldi(*a))
         self._check(g, alpha, curvatures_at_optimum(family, n, rng))
-        assert bool(dense) == (n < ITERATIVE_MIN_ORDER)
+        assert bool(arpack) == (n >= ITERATIVE_MIN_ORDER)
 
     def test_rewire_shape_slow_mode(self):
         # HK at n = 800, mlloss, alpha = 1e-3: the rate is a slow mode at
@@ -637,12 +642,11 @@ class TestMatrixFreeRate:
         h = rng.uniform(-1.0, 1.0, g.n)
         h -= h.mean()
         assert h.any() and abs(h.sum()) <= 1e-12 * np.abs(h).sum()
-
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense rate solve from the floor up")
-
-        monkeypatch.setattr(spectral, "eig_general", no_dense)
+        arnoldi, arpack = spectral._rightmost_arnoldi, []
+        monkeypatch.setattr(spectral, "_rightmost_arnoldi",
+                            lambda *a: arpack.append(1) or arnoldi(*a))
         self._check(g, 1e-3, h)
+        assert arpack
 
     def test_reruns_are_bit_identical(self):
         rng = np.random.default_rng(15)
@@ -670,6 +674,79 @@ class TestMatrixFreeRate:
         with pytest.raises(SizeLimitError):
             convergence_rate(spec)
         assert time.process_time() - t0 < 0.5
+
+
+def _below_floor_case(i: int) -> tuple[sp.csr_matrix, float, np.ndarray]:
+    """Case i of 16 below ITERATIVE_MIN_ORDER: a weighted BA (even i) or HK
+    graph at n = 3-11, quartic or mlloss curvatures at the optimum, alpha
+    1e-3 or 1; the last case's curvatures sum to zero."""
+    n = 3 + i % 9
+    rng = np.random.default_rng(200 + i)
+    links = max(1, min(4, n // 3))
+    g = (generate_ba(BaParams(n, links), rng) if i % 2 == 0
+         else generate_hk(HkParams(n, links, min(1, links - 1)), rng))
+    g = assign_random_weights(g, rng)
+    if i == 15:
+        h = rng.uniform(-1.0, 1.0, n)
+        h -= h.mean()
+    else:
+        h = curvatures_at_optimum(("quartic", "mlloss")[i // 2 % 2], n, rng)
+    return laplacian_sparse(g), (1e-3, 1.0)[i // 4 % 2], h
+
+
+# float.hex of the rates of _below_floor_case(0-15), recorded when the rate
+# below the floor still solved a separately built dense Jacobian
+_BELOW_FLOOR_RATES = [
+    "0x1.5f29b40eb270fp-9", "0x1.4fcb1ad795bbfp-9", "0x1.80684a388ade0p-3",
+    "0x1.999a166998f30p-3", "0x1.e0e83bee27d59p-3", "0x1.6aff486dd677fp-2",
+    "0x1.5b6cb8fb5b406p-6", "0x1.2caca9919c14cp-6", "0x1.43f3038e769f7p-8",
+    "0x1.513e6faf278d8p-8", "0x1.999a30f6c7df5p-3", "0x1.999bcf99a272cp-3",
+    "0x1.16948857c228bp-2", "0x1.34646036d6bb1p-4", "0x1.0c8e3ad12e9abp-8",
+    "0x1.8006963c916c1p+0",
+]
+
+
+@pytest.mark.filterwarnings("error")  # no solver warning may escape
+class TestBelowFloorRate:
+    """Below ITERATIVE_MIN_ORDER the rate is the dgeev spectrum of the
+    matrix of the operator that ARPACK runs on from the floor up."""
+
+    @pytest.mark.parametrize("i", range(len(_BELOW_FLOOR_RATES)))
+    def test_rate_keeps_its_bits(self, i):
+        lap, alpha, h = _below_floor_case(i)
+        assert lap.shape[0] < ITERATIVE_MIN_ORDER
+        rate = convergence_rate(JacobianSpec(lap, alpha, h))
+        assert rate.hex() == _BELOW_FLOOR_RATES[i]
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(spectral.np.linalg, "eigvals", failing)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            convergence_rate(JacobianSpec(*_below_floor_case(0)))
+
+    @pytest.mark.parametrize("i", range(len(_BELOW_FLOOR_RATES)))
+    def test_operator_matrix_is_the_shifted_dense_jacobian(self, i):
+        """The operator applied to the identity is the dense Jacobian plus
+        ``sigma / |c|`` on the x-x entries within each component c, bit for
+        bit, the signs of zeros included.  Every third case cuts the last
+        node off, so there are at least two components."""
+        lap, alpha, h = _below_floor_case(i)
+        n = lap.shape[0]
+        if i % 3 == 0:
+            lap = lap.toarray()
+            lap[:-1, :-1] -= np.diag(lap[:-1, -1])
+            lap[-1, :] = lap[:, -1] = 0.0
+        spec = JacobianSpec(lap, alpha, h)
+        got = spectral._shifted_jacobian(spec) @ np.eye(2 * n)
+        want = dense_jacobian(spec.laplacian.toarray(), alpha, h)
+        ncomp, comp = connected_components(spec.laplacian, directed=False)
+        assert ncomp >= 1 + (i % 3 == 0)
+        sigma = -1.0 - (2.0 * spec.laplacian.diagonal().max() + alpha) * (
+            1.0 + np.abs(h).max())
+        want[:n, :n] += (comp[:, None] == comp) * (sigma / np.bincount(comp))[comp]
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture
@@ -807,7 +884,7 @@ for n in range(3, 12):
 @pytest.mark.slow
 def test_below_floor_bits_do_not_depend_on_blas_threads():
     """Below ITERATIVE_MIN_ORDER lambda2 is one dsyevr eigenvalue and the
-    rate the dgeev spectrum of the dense Jacobian.  LAPACK does not promise
+    rate the dgeev spectrum of its operator's matrix.  LAPACK does not promise
     bits that are free of the BLAS thread count, so 1,350 graphs at n = 3-11
     check that they are, on 1 and on 2 OpenBLAS threads."""
     tests = os.path.dirname(os.path.abspath(__file__))
